@@ -48,6 +48,7 @@ from .quality import (
     strict_t,
 )
 
+# Frozen schema; the products are single-threaded, so ``workers`` is always 1.
 BENCH_CSV_FIELDS = (
     "algo,b,m,s,s_star,tau,w_scheme,seed,workers,rep,"
     "wall_ns,point_gen_ns,mult_ns,predicted_ops"
@@ -197,10 +198,10 @@ def _cmd_product(args: argparse.Namespace) -> int:
         if args.w is None:
             raise ValueError("--algo fast requires --w")
         sched = parse_schedule(args.w, net.s, net.base, net.m)
-        p = fast_reduced_product(net, sched, a, transform, workers=args.workers)
+        p = fast_reduced_product(net, sched, a, transform)
     elif args.algo == "standard":
         points = generate_points(net)
-        p = standard_product(points, a, transform, workers=args.workers)
+        p = standard_product(points, a, transform)
     else:
         raise ValueError(f"unknown algo {args.algo!r}")
     if args.bin:
@@ -213,7 +214,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _bench_config(
-    b: int, m: int, s: int, tau: int, scheme: str, seed: int, reps: int, workers: int
+    b: int, m: int, s: int, tau: int, scheme: str, seed: int, reps: int
 ) -> list[dict]:
     net = random_net(b, m, s, seed)
     sched = parse_schedule(scheme, s, b, m)
@@ -225,25 +226,25 @@ def _bench_config(
     s_star = sched.s_star(m)
 
     # Warm-up pass, discarded.
-    fast_reduced_product(reduced, sched, a, transform, workers=workers)
-    standard_product(generate_points(reduced), a, transform, workers=workers)
+    fast_reduced_product(reduced, sched, a, transform)
+    standard_product(generate_points(reduced), a, transform)
 
     rows = []
     for rep in range(reps):
         t0 = time.perf_counter_ns()
-        fast_reduced_product(reduced, sched, a, transform, workers=workers)
+        fast_reduced_product(reduced, sched, a, transform)
         fast_ns = time.perf_counter_ns() - t0
 
         t0 = time.perf_counter_ns()
         points = generate_points(reduced)
         gen_ns = time.perf_counter_ns() - t0
         t1 = time.perf_counter_ns()
-        standard_product(points, a, transform, workers=workers)
+        standard_product(points, a, transform)
         mult_ns = time.perf_counter_ns() - t1
 
         common = dict(
             b=b, m=m, s=s, s_star=s_star, tau=tau, w_scheme=scheme,
-            seed=seed, workers=workers, rep=rep,
+            seed=seed, workers=1, rep=rep,
         )
         rows.append(
             dict(common, algo="fast_column", wall_ns=fast_ns,
@@ -286,8 +287,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for s in s_list:
             rows.extend(
                 _bench_config(
-                    args.b, m, s, args.tau, args.w_scheme,
-                    args.seed, args.reps, args.workers,
+                    args.b, m, s, args.tau, args.w_scheme, args.seed, args.reps
                 )
             )
     fields = BENCH_CSV_FIELDS.split(",")
@@ -358,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("fast", "standard"), required=True)
     p.add_argument("--w", default=None)
     p.add_argument("--transform", default="identity")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--bin", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_product)
@@ -371,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-scheme", default="log", dest="w_scheme")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_bench)
 

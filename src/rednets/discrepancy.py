@@ -408,7 +408,10 @@ def choose_reduction_indices(
     keeping the product gamma_j (1 + b^w_j) below kappa.  ``zeta``: for
     gamma_j = j^-2 and decay exponent tau in (1, 2),
     w_j = min(floor(log_b(j^(2 - tau))), m), which is s-independent.
-    Negative logarithms clamp to 0 and w_1 is forced to 0.
+    Negative logarithms clamp to 0 and w_1 is forced to 0.  Both floors are
+    exact: ``kappa`` compares b^k with the float argument, and ``zeta`` reads
+    tau as the fraction p/q of its decimal form (q <= 100) and compares
+    integer powers.
     """
     if scheme == "kappa":
         if weights.kappa is None:
@@ -421,18 +424,20 @@ def choose_reduction_indices(
         w = []
         for j in range(1, s + 1):
             arg = target / weights.gamma(j)
-            wj = math.floor(math.log(arg, base)) if arg > 1.0 else 0
-            w.append(min(max(wj, 0), m))
+            k = 0
+            while k < m and base ** (k + 1) <= arg:
+                k += 1
+            w.append(k)
     elif scheme == "zeta":
         if weights.decay_tau is None:
             raise ValueError("zeta scheme needs weights.decay_tau")
         if weights.kind != "poly" or weights.param != 2:
             raise ValueError("zeta scheme assumes weights poly:2")
-        tau = weights.decay_tau
-        w = [
-            min(max(math.floor((2.0 - tau) * math.log(j, base)), 0), m)
-            for j in range(1, s + 1)
-        ]
+        tau = Fraction(str(weights.decay_tau))
+        p, q = tau.numerator, tau.denominator
+        if q > 100:
+            raise ValueError("zeta scheme needs decay_tau = p/q with q <= 100")
+        return ReductionSchedule.floor_log(s, base, m, num=2 * q - p, den=q)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     w[0] = 0

@@ -320,28 +320,33 @@ def block_diag_seq(d2: FieldMatrix, t: int, m: int) -> FieldMatrix:
     return FieldMatrix(d2.base, m, m, tuple(ent))
 
 
-def _digit_matrix(base: int, n_digits: int, m: int) -> np.ndarray:
-    """(base^n_digits) x m matrix of digit vectors, LSB first, zero padded."""
-    n = base**n_digits
-    ks = np.arange(n, dtype=np.int64)
-    cols = [((ks // base**i) % base) for i in range(n_digits)]
-    cols.extend(np.zeros(n, dtype=np.int64) for _ in range(m - n_digits))
-    return np.stack(cols, axis=1) if cols else np.zeros((n, 0), dtype=np.int64)
-
-
 def coordinate_numerators(mat: FieldMatrix, n_digits: int) -> np.ndarray:
-    """Numerators of one coordinate over the first base^n_digits indices."""
+    """Numerators of one coordinate over the first base^n_digits indices.
+
+    Digit doubling (Antonov-Saleev; Bratley-Fox) on digit arrays, so any
+    prime base works: once the output digits y(k') of every k' < b^i are
+    known, index d b^i + k' has output digits (y(k') + d C[:, i]) mod b.
+    The digits are kept digit-major, one row per output digit.
+    """
     m = mat.n_rows
     if mat.n_cols != m:
         raise ValueError("generating matrix must be square")
     if not 0 <= n_digits <= m:
         raise ValueError("n_digits outside [0, m]")
     base = mat.base
-    digs = _digit_matrix(base, n_digits, m)
+    if base**m >= 1 << 62:
+        raise ValueError("b^m too large for exact 64-bit numerators")
     c = np.array(mat.rows(), dtype=np.int64).reshape(m, m)
-    out_digits = (digs @ c.T) % base
+    y = np.zeros((m, base**n_digits), dtype=np.int64)
+    n = 1
+    for i in range(n_digits):
+        for d in range(1, base):
+            block = y[:, d * n : (d + 1) * n]
+            np.add(y[:, :n], d * c[:, i, None], out=block)
+            np.remainder(block, base, out=block)
+        n *= base
     weights = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return out_digits @ weights
+    return weights @ y
 
 
 def generate_points(net: NetSpec, first_digits: int | None = None) -> PointBlock:
@@ -350,21 +355,14 @@ def generate_points(net: NetSpec, first_digits: int | None = None) -> PointBlock
     Digit vectors shorter than m are zero padded, so first_digits = m gives
     the full net and smaller values give the leading block.
     """
-    m = net.m
     if first_digits is None:
-        first_digits = m
-    if not 0 <= first_digits <= m:
+        first_digits = net.m
+    if not 0 <= first_digits <= net.m:
         raise ValueError("first_digits outside [0, m]")
-    if net.base**m >= 1 << 62:
-        raise ValueError("b^m too large for exact 64-bit numerators")
-    n = net.base**first_digits
-    nums = np.empty((n, net.s), dtype=np.int64)
-    digs = _digit_matrix(net.base, first_digits, m)
-    weights = net.base ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    nums = np.empty((net.base**first_digits, net.s), dtype=np.int64)
     for j, mat in enumerate(net.matrices):
-        c = np.array(mat.rows(), dtype=np.int64).reshape(m, m)
-        nums[:, j] = ((digs @ c.T) % net.base) @ weights
-    return PointBlock(net.base, m, nums)
+        nums[:, j] = coordinate_numerators(mat, first_digits)
+    return PointBlock(net.base, net.m, nums)
 
 
 def point_slow(net: NetSpec, k: int) -> tuple[Fraction, ...]:

@@ -11,7 +11,6 @@ last unreduced coordinate down to the first.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Callable
 
@@ -146,7 +145,15 @@ class Transform:
             return values
         if self.kind == "norminv":
             return norm_inverse(values + self.shift)
-        return np.asarray(self.fn(values), dtype=np.float64)
+        out = np.asarray(self.fn(values), dtype=np.float64)
+        if out.shape != np.shape(values):
+            raise ValueError(
+                f"custom transform returned shape {out.shape}, "
+                f"expected {np.shape(values)}"
+            )
+        if not np.all(np.isfinite(out)):
+            raise ValueError("custom transform returned non-finite values")
+        return out
 
 
 def _check_a(a: np.ndarray, s: int) -> np.ndarray:
@@ -160,41 +167,21 @@ def _check_a(a: np.ndarray, s: int) -> np.ndarray:
     return a
 
 
-def _row_blocks(n: int, workers: int) -> list[slice]:
-    if workers <= 1 or n < 2 * workers:
-        return [slice(0, n)]
-    bounds = np.linspace(0, n, workers + 1, dtype=int)
-    return [slice(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
-
-
 def standard_product(
     points: PointBlock,
     a: np.ndarray,
     transform: Transform = Transform.identity(),
-    *,
-    workers: int = 1,
 ) -> np.ndarray:
     """X A for the given point block, accumulated coordinate by coordinate.
 
     The accumulation order is fixed (j = 1, ..., s per output entry) so the
-    baseline is bit-reproducible; optional row-block threading does not
-    change any per-entry order.
+    baseline is bit-reproducible.
     """
     a = _check_a(a, points.s)
     coords = transform.apply(points.coords())
-    n, tau = points.n_points, a.shape[1]
-    out = np.zeros((n, tau), dtype=np.float64)
-
-    def run(block: slice) -> None:
-        for j in range(points.s):
-            out[block] += coords[block, j, None] * a[j, None, :]
-
-    blocks = _row_blocks(n, workers)
-    if len(blocks) == 1:
-        run(blocks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(run, blocks))
+    out = np.zeros((points.n_points, a.shape[1]), dtype=np.float64)
+    for j in range(points.s):
+        out += coords[:, j, None] * a[j, None, :]
     return out
 
 
@@ -219,8 +206,6 @@ def fast_reduced_product(
     sched: ReductionSchedule,
     a: np.ndarray,
     transform: Transform = Transform.identity(),
-    *,
-    workers: int = 1,
 ) -> np.ndarray:
     """X A for a column-reduced net without materializing X.
 
@@ -250,17 +235,7 @@ def fast_reduced_product(
         xj = transform.apply(
             coordinate_numerators(net.matrices[j - 1], m - wj) / denom
         )
-        aj = a[j - 1]
-
-        def update(block: slice) -> None:
-            p[block] += xj[block, None] * aj[None, :]
-
-        blocks = _row_blocks(p.shape[0], workers)
-        if len(blocks) == 1:
-            update(blocks[0])
-        else:
-            with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-                list(pool.map(update, blocks))
+        p += xj[:, None] * a[j - 1, None, :]
     if p.shape[0] != b**m:
         p = np.tile(p, (b**m // p.shape[0], 1))
     return p

@@ -192,7 +192,7 @@ def test_criterion_9_performance():
     ratio = ops.fast / ops.standard
     assert ratio <= 0.15
 
-    rows = _bench_config(2, 12, 800, 20, "log", seed=1, reps=3, workers=1)
+    rows = _bench_config(2, 12, 800, 20, "log", seed=1, reps=3)
     med = {r["algo"]: r for r in rows if r["rep"] == "median"}
     fast_ns = med["fast_column"]["wall_ns"]
     std_ns = med["standard"]["wall_ns"]

@@ -269,6 +269,22 @@ def test_zeta_scheme_examples():
     assert sched.w[15] == 2  # floor(log2 16^0.5)
 
 
+def test_zeta_scheme_is_exact_for_tau_1_2():
+    # w_j = floor(log_3(j^0.8)); at j = 3^5 and 3^10 float logs land just below
+    w = rn.WeightModel.polynomial(2, decay_tau=1.2)
+    sched = rn.choose_reduction_indices(w, 3, 20, 60000, "zeta")
+    assert sched.w[242] == 4
+    assert sched.w[59048] == 8
+    assert sched == rn.ReductionSchedule.floor_log(60000, 3, 20, num=4, den=5)
+
+
+def test_kappa_scheme_is_exact_at_a_power_of_the_base():
+    # target = sqrt(59536) - 1 = 243 = 3^5 exactly
+    w = rn.WeightModel.constant(1.0, kappa=59536.0)
+    sched = rn.choose_reduction_indices(w, 3, 10, 2, "kappa")
+    assert sched.w == (0, 5)
+
+
 def test_kappa_scheme_example():
     w = rn.WeightModel.constant(1.0, kappa=17.0)
     sched = rn.choose_reduction_indices(w, 2, 12, 4, "kappa")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
-from rednets.nets import point_slow
+from rednets.nets import coordinate_numerators, point_slow
 
 
 def binom_mod_lucas(n, k, p):
@@ -278,10 +278,18 @@ def test_generate_points_numerators_in_range():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(1, 3), st.integers(0, 10**6))
-def test_generate_points_agrees_with_scalar_oracle(base, m, s, seed):
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_generate_points_agrees_with_scalar_oracle(base, m, s, seed, data):
     net = rn.random_net(base, m, s, seed=seed)
-    pts = rn.generate_points(net)
+    first_digits = data.draw(st.integers(0, m))
+    pts = rn.generate_points(net, first_digits)
+    assert pts.n_points == base**first_digits
     for k in range(min(pts.n_points, 20)):
         expect = point_slow(net, k)
         got = [pts.coord_fraction(k, j) for j in range(s)]
@@ -317,6 +325,11 @@ def test_generate_points_first_digits_validation():
     with pytest.raises(ValueError):
         rn.generate_points(net, 5)
     assert rn.generate_points(net, 0).n_points == 1
+
+
+def test_coordinate_numerators_rejects_b_m_beyond_int64():
+    with pytest.raises(ValueError):
+        coordinate_numerators(rn.FieldMatrix.identity(2, 62), 0)
 
 
 # --- file formats ----------------------------------------------------------

@@ -166,17 +166,24 @@ def test_fast_rejects_schedule_marix_mismatch():
         rn.fast_reduced_product(net, sched, a)  # net was never reduced
 
 
-def test_fast_workers_bitwise_equal():
-    net = rn.random_net(2, 7, 9, seed=15)
-    sched = rn.ReductionSchedule.floor_log(9, 2, 7)
+def test_custom_transform_output_is_checked_in_both_products():
+    net = rn.random_net(3, 3, 3, seed=15)
+    sched = rn.ReductionSchedule.floor_log(3, 3, 3)
     red = rn.column_reduce(net, sched)
-    a = np.random.default_rng(5).standard_normal((9, 6))
-    one = rn.fast_reduced_product(red, sched, a, workers=1)
-    four = rn.fast_reduced_product(red, sched, a, workers=4)
-    assert np.array_equal(one, four)
-    s_one = rn.standard_product(rn.generate_points(red), a, workers=1)
-    s_four = rn.standard_product(rn.generate_points(red), a, workers=4)
-    assert np.array_equal(s_one, s_four)
+    pts = rn.generate_points(red)
+    a = np.random.default_rng(5).standard_normal((3, 2))
+    good = rn.Transform.custom(np.sqrt)
+    assert rel_close(
+        rn.fast_reduced_product(red, sched, a, good),
+        rn.standard_product(pts, a, good),
+    )
+    longer = rn.Transform.custom(lambda x: np.concatenate([x, x]))
+    nan = rn.Transform.custom(lambda x: x * np.nan)
+    for tr in (longer, nan):
+        with pytest.raises(ValueError):
+            rn.fast_reduced_product(red, sched, a, tr)
+        with pytest.raises(ValueError):
+            rn.standard_product(pts, a, tr)
 
 
 def test_tiling_identity_on_reduced_points():
