@@ -320,33 +320,80 @@ def block_diag_seq(d2: FieldMatrix, t: int, m: int) -> FieldMatrix:
     return FieldMatrix(d2.base, m, m, tuple(ent))
 
 
-def coordinate_numerators(mat: FieldMatrix, n_digits: int) -> np.ndarray:
-    """Numerators of one coordinate over the first base^n_digits indices.
+def coordinate_numerators(mats: Sequence[FieldMatrix], n_digits: int) -> np.ndarray:
+    """Numerators of k coordinates over the first base^n_digits indices.
 
-    Digit doubling (Antonov-Saleev; Bratley-Fox) on digit arrays, so any
-    prime base works: once the output digits y(k') of every k' < b^i are
-    known, index d b^i + k' has output digits (y(k') + d C[:, i]) mod b.
-    The digits are kept digit-major, one row per output digit.
+    ``mats`` are the k generating matrices of those coordinates, all square
+    and of one base and size m; column c of the returned int64
+    (base^n_digits, k) block holds the numerators of ``mats[c]`` over b^m.
+    Index d b^i + k' (k' < b^i) differs from (d-1) b^i + k' only in digit i,
+    so its output digits are the earlier ones plus C[:, i] mod b: the
+    doubling of Antonov-Saleev and Bratley-Fox.  Base 2 runs it on packed
+    column integers with XOR; other bases run it one output digit at a time.
     """
-    m = mat.n_rows
-    if mat.n_cols != m:
-        raise ValueError("generating matrix must be square")
+    if not mats:
+        raise ValueError("need at least one generating matrix")
+    base, m = mats[0].base, mats[0].n_rows
+    for mat in mats:
+        if mat.n_rows != m or mat.n_cols != m:
+            raise ValueError("generating matrices must be square and of one size")
+        if mat.base != base:
+            raise ValueError("generating matrices must share one base")
     if not 0 <= n_digits <= m:
         raise ValueError("n_digits outside [0, m]")
-    base = mat.base
     if base**m >= 1 << 62:
         raise ValueError("b^m too large for exact 64-bit numerators")
-    c = np.array(mat.rows(), dtype=np.int64).reshape(m, m)
-    y = np.zeros((m, base**n_digits), dtype=np.int64)
+    # unsigned digits that hold 2b - 2, as _numerators_digits needs
+    dtype = np.uint8 if base < 128 else np.uint64
+    c = np.array([mat.entries for mat in mats], dtype=dtype).reshape(-1, m, m)
+    if base == 2:
+        return _numerators_xor(c, n_digits)
+    return _numerators_digits(c, base, n_digits)
+
+
+def _numerators_xor(c: np.ndarray, n_digits: int) -> np.ndarray:
+    """Base-2 kernel on a (k, m, m) digit array.
+
+    Column i of each matrix packs to col_i = sum_r C[r, i] 2^(m-1-r), and
+    the numerator of index n + k' (k' < n = 2^i) is that of k' XOR col_i.
+    """
+    k, m = c.shape[0], c.shape[1]
+    weights = 2 ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    cols = np.einsum("kri,r->ik", c, weights)
+    out = np.zeros((1 << n_digits, k), dtype=np.int64)
     n = 1
     for i in range(n_digits):
-        for d in range(1, base):
-            block = y[:, d * n : (d + 1) * n]
-            np.add(y[:, :n], d * c[:, i, None], out=block)
-            np.remainder(block, base, out=block)
-        n *= base
-    weights = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return weights @ y
+        np.bitwise_xor(out[:n], cols[i], out=out[n : 2 * n])
+        n *= 2
+    return out
+
+
+def _numerators_digits(c: np.ndarray, base: int, n_digits: int) -> np.ndarray:
+    """Kernel for any prime base on a (k, m, m) unsigned digit array.
+
+    The doubling runs on one output digit r at a time in an (N, k) digit
+    array y_r of c's type, and the numerators accumulate as
+    out = out b + y_r.  The type must hold 2b - 2; being unsigned, x - b
+    wraps above x exactly when x < b, so for x < 2b, min(x, x - b) is
+    x mod b without a division.
+    """
+    k, m = c.shape[0], c.shape[1]
+    n_rows = base**n_digits
+    y = np.zeros((n_rows, k), dtype=c.dtype)
+    tmp = np.empty((n_rows // base, k), dtype=c.dtype)
+    out = np.zeros((n_rows, k), dtype=np.int64)
+    for r in range(m):
+        n = 1
+        for i in range(n_digits):
+            for d in range(1, base):
+                block = y[d * n : (d + 1) * n]
+                np.add(y[(d - 1) * n : d * n], c[:, r, i], out=block)
+                np.subtract(block, base, out=tmp[:n])
+                np.minimum(block, tmp[:n], out=block)
+            n *= base
+        out *= base
+        np.add(out, y, out=out, dtype=np.int64)
+    return out
 
 
 def generate_points(net: NetSpec, first_digits: int | None = None) -> PointBlock:
@@ -359,10 +406,9 @@ def generate_points(net: NetSpec, first_digits: int | None = None) -> PointBlock
         first_digits = net.m
     if not 0 <= first_digits <= net.m:
         raise ValueError("first_digits outside [0, m]")
-    nums = np.empty((net.base**first_digits, net.s), dtype=np.int64)
-    for j, mat in enumerate(net.matrices):
-        nums[:, j] = coordinate_numerators(mat, first_digits)
-    return PointBlock(net.base, net.m, nums)
+    return PointBlock(
+        net.base, net.m, coordinate_numerators(net.matrices, first_digits)
+    )
 
 
 def point_slow(net: NetSpec, k: int) -> tuple[Fraction, ...]:

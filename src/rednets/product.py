@@ -108,7 +108,10 @@ class Transform:
 
     kinds: ``identity``; ``norminv`` shifts right by ``shift`` > 0 and applies
     the inverse normal CDF (the shift keeps 0 away from the pole); ``custom``
-    applies a user-supplied elementwise function.
+    applies a user-supplied function, which must act elementwise and return
+    an array of its input's shape: the standard product applies it to the
+    whole N x s point block, the fast product once to the grid n / b^m of
+    every numerator n.
     """
 
     kind: str = "identity"
@@ -190,15 +193,17 @@ def _validate_reduced(net: NetSpec, sched: ReductionSchedule) -> None:
     if sched.s != net.s:
         raise ValueError("schedule length does not match net dimension")
     m = net.m
-    for j, (mat, wj) in enumerate(zip(net.matrices, sched.w), start=1):
-        zeroed = min(m, wj)
-        for i in range(m):
-            for c in range(m - zeroed, m):
-                if mat.at(i, c) != 0:
-                    raise ValueError(
-                        f"matrix {j} has a nonzero entry in column {c + 1}, "
-                        f"but the schedule declares the last {zeroed} columns zero"
-                    )
+    nonzero = np.array([mat.entries for mat in net.matrices], dtype=bool)
+    zeroed = np.array([min(m, wj) for wj in sched.w])
+    declared = np.arange(m)[None, :] >= (m - zeroed)[:, None]
+    bad = nonzero.reshape(-1, m, m) & declared[:, None, :]
+    if bad.any():
+        j = int(bad.any(axis=(1, 2)).argmax())
+        c = int(bad[j].argmax()) % m
+        raise ValueError(
+            f"matrix {j + 1} has a nonzero entry in column {c + 1}, "
+            f"but the schedule declares the last {zeroed[j]} columns zero"
+        )
 
 
 def fast_reduced_product(
@@ -213,29 +218,36 @@ def fast_reduced_product(
     block vertically by b^(w_{j+1} - w_j) copies and adding the rank-one term
     of coordinate j.  Fully reduced coordinates are constant 0, so they
     contribute the constant row phi(0) * a_j once up front (zero for the
-    identity transform).  Also generates the needed point columns on the fly.
+    identity transform).  Also generates the needed point columns on the fly,
+    one kernel call per run of equal w_j (split so that no call returns more
+    numerators than X A has entries), and looks their transformed values up
+    in phi evaluated once on the grid n / b^m.
     """
     a = _check_a(a, net.s)
     _validate_reduced(net, sched)
     b, m, tau = net.base, net.m, a.shape[1]
     s_star = sched.s_star(m)
 
-    phi0 = float(transform.apply(np.zeros(1))[0])
+    # phi(n / b^m) for every numerator n, so no level block is transformed
+    grid = transform.apply(np.arange(b**m) / float(b**m))
+    phi0 = float(grid[0])
     p = np.zeros((1, tau), dtype=np.float64)
     if s_star < net.s and phi0 != 0.0:
         p += phi0 * a[s_star:].sum(axis=0)[None, :]
 
-    denom = float(b**m)
-    for j in range(s_star, 0, -1):
-        wj = sched.w[j - 1]
-        w_next = m if j == s_star else min(sched.w[j], m)
-        factor = b ** (w_next - wj)
-        if factor > 1:
-            p = np.tile(p, (factor, 1))
-        xj = transform.apply(
-            coordinate_numerators(net.matrices[j - 1], m - wj) / denom
-        )
-        p += xj[:, None] * a[j - 1, None, :]
+    hi = s_star
+    while hi > 0:
+        wv = sched.w[hi - 1]
+        w_next = m if hi == s_star else min(sched.w[hi], m)
+        if w_next > wv:
+            p = np.tile(p, (b ** (w_next - wv), 1))
+        # coordinates lo+1..hi share w, hence one index range and one kernel
+        # call; at most tau b^w of them, so the block is no larger than p
+        lo = max(sched.w.index(wv), hi - max(tau, 1) * b**wv)
+        nums = coordinate_numerators(net.matrices[lo:hi], m - wv)
+        for j in range(hi, lo, -1):
+            p += grid[nums[:, j - lo - 1], None] * a[j - 1, None, :]
+        hi = lo
     if p.shape[0] != b**m:
         p = np.tile(p, (b**m // p.shape[0], 1))
     return p
@@ -312,9 +324,14 @@ def read_matrix_csv(fh: IO[str]) -> np.ndarray:
 
 
 def write_product_csv(p: np.ndarray, fh: IO[str]) -> None:
+    """CSV with header ``y1,...,ytau``; each value is ``repr`` of a Python
+    float, the shortest string that reads back to the same float64."""
     fh.write(",".join(f"y{j + 1}" for j in range(p.shape[1])) + "\n")
-    for row in p:
-        fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    p = np.asarray(p, dtype=np.float64)
+    # 256 rows at a time: tolist() makes a 24-byte Python float per value
+    for start in range(0, p.shape[0], 256):
+        for row in p[start : start + 256].tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_product_bin(p: np.ndarray, fh: IO[bytes]) -> None:

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
-from rednets.nets import coordinate_numerators, point_slow
+from rednets.nets import (
+    _numerators_digits,
+    _numerators_xor,
+    coordinate_numerators,
+    point_slow,
+)
 
 
 def binom_mod_lucas(n, k, p):
@@ -327,9 +332,51 @@ def test_generate_points_first_digits_validation():
     assert rn.generate_points(net, 0).n_points == 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_coordinate_numerators_block_matches_oracle(base, m, k, seed, data):
+    net = rn.random_net(base, m, k, seed=seed)
+    n_digits = data.draw(st.integers(0, m))
+    block = coordinate_numerators(net.matrices, n_digits)
+    assert block.shape == (base**n_digits, k)
+    assert block.dtype == np.int64
+    for idx in range(min(block.shape[0], 150)):
+        got = [Fraction(int(v), base**m) for v in block[idx]]
+        assert got == list(point_slow(net, idx))
+    if base == 2:
+        c = np.array([mat.entries for mat in net.matrices], dtype=np.uint8).reshape(k, m, m)
+        assert np.array_equal(_numerators_digits(c, 2, n_digits), block)
+        assert np.array_equal(_numerators_xor(c, n_digits), block)
+
+
+def test_coordinate_numerators_base_beyond_uint8_digits():
+    net = rn.random_net(131, 2, 3, seed=4)
+    block = coordinate_numerators(net.matrices, 2)
+    for idx in (0, 1, 130, 131, 5000, 131**2 - 1):
+        got = [Fraction(int(v), 131**2) for v in block[idx]]
+        assert got == list(point_slow(net, idx))
+
+
+def test_coordinate_numerators_rejects_mixed_or_empty_input():
+    with pytest.raises(ValueError):
+        coordinate_numerators([], 0)
+    with pytest.raises(ValueError):
+        coordinate_numerators([rn.FieldMatrix.identity(2, 3), rn.FieldMatrix.identity(3, 3)], 1)
+    with pytest.raises(ValueError):
+        coordinate_numerators([rn.FieldMatrix.identity(2, 3), rn.FieldMatrix.identity(2, 4)], 1)
+    with pytest.raises(ValueError):
+        coordinate_numerators([rn.FieldMatrix.zeros(2, 3, 4)], 1)
+
+
 def test_coordinate_numerators_rejects_b_m_beyond_int64():
     with pytest.raises(ValueError):
-        coordinate_numerators(rn.FieldMatrix.identity(2, 62), 0)
+        coordinate_numerators([rn.FieldMatrix.identity(2, 62)], 0)
 
 
 # --- file formats ----------------------------------------------------------

@@ -119,6 +119,21 @@ def test_fast_equals_standard_randomized():
             assert rel_close(fast, std), (trial, m, s, tau, tr.kind)
 
 
+def test_fast_equals_standard_when_a_level_takes_several_kernel_calls():
+    # with tau = 2 a kernel call takes at most 2 b^w coordinates, so the
+    # w = 0 run of 5 is split, and for b = 3 the w = 1 run of 7 too
+    for base in (3, 5):
+        net = rn.random_net(base, 3, 13, seed=base)
+        sched = rn.ReductionSchedule.explicit([0] * 5 + [1] * 7 + [2])
+        red = rn.column_reduce(net, sched)
+        a = np.random.default_rng(base).standard_normal((13, 2))
+        for tr in (rn.Transform.identity(), rn.Transform.normal_inverse_for(base, 3)):
+            fast = rn.fast_reduced_product(red, sched, a, tr)
+            std = rn.standard_product(rn.generate_points(red), a, tr)
+            assert rel_close(fast, std), (base, tr.kind)
+        assert rn.fast_reduced_product(red, sched, a[:, :0]).shape == (base**3, 0)
+
+
 def test_fast_single_coordinate_bit_for_bit():
     net = rn.random_net(2, 6, 1, seed=3)
     sched = rn.ReductionSchedule.explicit([0])
@@ -164,6 +179,24 @@ def test_fast_rejects_schedule_marix_mismatch():
     a = np.zeros((2, 1))
     with pytest.raises(ValueError):
         rn.fast_reduced_product(net, sched, a)  # net was never reduced
+
+
+def test_fast_rejection_names_first_offending_matrix_and_column():
+    # matrix 2 breaks its declared-zero columns 3 and 4 at (row 1, column 4)
+    # and (row 2, column 3), matrix 3 at every row; the first entry in
+    # matrix order, then row-major order, is reported
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    bad2 = [[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    bad3 = [[1, 0, 0, 1]] * 4
+    mats = tuple(rn.FieldMatrix.from_rows(2, rows) for rows in (eye, bad2, bad3))
+    net = rn.NetSpec(2, 4, mats)
+    sched = rn.ReductionSchedule.explicit([0, 2, 7])
+    with pytest.raises(ValueError) as err:
+        rn.fast_reduced_product(net, sched, np.zeros((3, 1)))
+    assert str(err.value) == (
+        "matrix 2 has a nonzero entry in column 4, "
+        "but the schedule declares the last 2 columns zero"
+    )
 
 
 def test_custom_transform_output_is_checked_in_both_products():
@@ -300,6 +333,17 @@ def test_product_csv_round_trip_values():
     assert lines[0] == "y1,y2"
     again = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.array_equal(again, p)
+
+
+def test_product_csv_is_repr_of_each_float():
+    special = [-0.0, 1e-05, 1e16, 5e-324, 1.0 / 3.0, 0.0]
+    rand = np.random.default_rng(7).standard_normal((600, 6)) * 10.0 ** np.arange(-3, 3)
+    for p in (np.array([special]), np.array(special)[:, None], rand):
+        buf = io.StringIO()
+        write_product_csv(p, buf)
+        rows = [",".join(repr(float(v)) for v in row) for row in p]
+        head = ",".join(f"y{j + 1}" for j in range(p.shape[1]))
+        assert buf.getvalue() == "\n".join([head] + rows) + "\n"
 
 
 def test_product_binary_round_trip():
