@@ -10,10 +10,11 @@ can be verified without rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -35,20 +36,21 @@ __all__ = [
     "write_net",
 ]
 
-_MASK64 = (1 << 64) - 1
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetSpec:
     """Generating matrices of a digital net of b^m points in dimension s.
 
-    ``declared_t`` is a quality claim carried by constructions with known
-    t-value; reductions drop it and quality analysis re-derives it.
+    ``digits[j, r, i]`` is entry (r, i) of the (j+1)-th matrix, held in one
+    read-only (s, m, m) array of uint8 below b = 128 and uint64 above; nets
+    compare equal by value.  ``declared_t`` is a quality claim carried by
+    constructions with known t-value; reductions drop it and quality
+    analysis re-derives it.
     """
 
     base: int
     m: int
-    matrices: tuple[FieldMatrix, ...]
+    digits: np.ndarray = field(repr=False)
     declared_t: int | None = None
     provenance: str = "constructed"
 
@@ -57,19 +59,50 @@ class NetSpec:
             raise ValueError(f"base must be prime, got {self.base}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if not self.matrices:
-            raise ValueError("need at least one generating matrix")
-        for c in self.matrices:
-            if c.base != self.base:
-                raise ValueError("matrix base differs from net base")
-            if c.n_rows != self.m or c.n_cols != self.m:
-                raise ValueError(f"matrices must be {self.m}x{self.m}")
+        d = np.asarray(self.digits)
+        shape_ok = d.ndim == 3 and len(d) > 0 and d.shape[1:] == (self.m, self.m)
+        if not shape_ok or d.dtype.kind not in "iu":
+            raise ValueError("digits must be an integer (s, m, m) array with s >= 1")
+        bad = d[(d < 0) | (d >= self.base)]
+        if bad.size:
+            raise ValueError(f"digit {bad[0]} outside [0, {self.base})")
+        # unsigned digits that hold 2b - 2, as _numerators_digits needs
+        d = d.astype(np.uint8 if self.base < 128 else np.uint64)
+        d.flags.writeable = False
+        object.__setattr__(self, "digits", d)
         if self.declared_t is not None and not 0 <= self.declared_t <= self.m:
             raise ValueError("declared_t outside [0, m]")
 
+    @classmethod
+    def from_matrices(
+        cls, base: int, m: int, matrices: Sequence[FieldMatrix], **fields
+    ) -> NetSpec:
+        """Net from m x m ``FieldMatrix`` values over F_base; ``fields`` are
+        the optional ``declared_t`` and ``provenance``."""
+        if any(c.base != base or (c.n_rows, c.n_cols) != (m, m) for c in matrices):
+            raise ValueError(f"matrices must be {m}x{m} over F_{base}")
+        digits = np.array([c.entries for c in matrices], dtype=np.int64)
+        return cls(base, m, digits.reshape(-1, m, m), **fields)
+
+    @functools.cached_property
+    def matrices(self) -> tuple[FieldMatrix, ...]:
+        """The matrices as ``FieldMatrix`` values, for the rank code and oracles."""
+        b, m, flat = self.base, self.m, self.digits.reshape(self.s, -1).tolist()
+        return tuple(FieldMatrix(b, m, m, tuple(ent)) for ent in flat)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NetSpec):
+            return NotImplemented
+        return (self.base, self.m, self.declared_t, self.provenance) == (
+            other.base, other.m, other.declared_t, other.provenance
+        ) and np.array_equal(self.digits, other.digits)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.m, self.digits.shape, self.digits.tobytes()))
+
     @property
     def s(self) -> int:
-        return len(self.matrices)
+        return self.digits.shape[0]
 
     @property
     def n_points(self) -> int:
@@ -178,27 +211,25 @@ class PointBlock:
             fh.write(f"{k},{row}\n")
 
 
-def _splitmix64(seed: int) -> Iterator[int]:
-    """SplitMix64 stream; fixed algorithm so seeds reproduce across platforms."""
-    state = seed & _MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+def _uniform_digits(seed: int, count: int, base: int, limit: int) -> np.ndarray:
+    """The first ``count`` SplitMix64 draws of ``seed`` below ``limit``, mod base.
 
-
-def _uniform_digits(seed: int, count: int, base: int) -> list[int]:
-    # Rejection sampling keeps the digits exactly uniform on {0, ..., base-1}.
-    stream = _splitmix64(seed)
-    limit = (1 << 64) - ((1 << 64) % base)
-    out = []
-    while len(out) < count:
-        v = next(stream)
-        if v < limit:
-            out.append(v % base)
-    return out
+    A fixed algorithm, so seeds reproduce across platforms; the uint64
+    arithmetic wraps mod 2^64 as it requires.  With limit = 2^64 - (2^64
+    mod base) the rejection keeps the digits exactly uniform.
+    """
+    parts, have, start = [], 0, 0
+    with np.errstate(over="ignore"):
+        while have < count:
+            z = np.arange(start + 1, start + 1 + count - have, dtype=np.uint64)
+            start += count - have
+            z = z * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed % (1 << 64))
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            z ^= z >> np.uint64(31)
+            parts.append(z[z <= np.uint64(limit - 1)])
+            have += parts[-1].size
+    return np.concatenate(parts) % np.uint64(base)
 
 
 def pascal_net(base: int, m: int, s: int) -> NetSpec:
@@ -213,15 +244,10 @@ def pascal_net(base: int, m: int, s: int) -> NetSpec:
         raise ValueError("m must be >= 1")
     if s < 1:
         raise ValueError("s must be >= 1")
-    binom = FieldMatrix(
-        base,
-        m,
-        m,
-        tuple(math.comb(r, i) % base for i in range(m) for r in range(m)),
-    )
-    matrices = tuple(binom.matpow(j) for j in range(s))
-    declared = 0 if (base == 2 and s <= 2) else None
-    return NetSpec(base, m, matrices, declared_t=declared, provenance="pascal")
+    ent = tuple(math.comb(r, i) % base for i in range(m) for r in range(m))
+    matrices = tuple(FieldMatrix(base, m, m, ent).matpow(j) for j in range(s))
+    t = 0 if (base == 2 and s <= 2) else None
+    return NetSpec.from_matrices(base, m, matrices, declared_t=t, provenance="pascal")
 
 
 def random_net(base: int, m: int, s: int, seed: int) -> NetSpec:
@@ -230,45 +256,27 @@ def random_net(base: int, m: int, s: int, seed: int) -> NetSpec:
     Entries come from a SplitMix64 stream reduced by rejection sampling, so
     the same (base, m, s, seed) reproduces the same net anywhere.
     """
-    digits = _uniform_digits(seed, s * m * m, base)
-    matrices = []
-    for j in range(s):
-        ent = tuple(digits[j * m * m : (j + 1) * m * m])
-        matrices.append(FieldMatrix(base, m, m, ent))
-    return NetSpec(base, m, tuple(matrices), provenance=f"random(seed={seed})")
+    digits = _uniform_digits(seed, s * m * m, base, (1 << 64) - (1 << 64) % base)
+    return NetSpec(base, m, digits.reshape(s, m, m), provenance=f"random(seed={seed})")
 
 
-def _check_schedule(net: NetSpec, sched: ReductionSchedule) -> None:
+def _kept(net: NetSpec, sched: ReductionSchedule) -> np.ndarray:
+    """m - min(m, w_j) as an (s, 1, 1) array."""
     if sched.s != net.s:
         raise ValueError(f"schedule length {sched.s} != net dimension {net.s}")
+    return np.array([net.m - min(net.m, wj) for wj in sched.w])[:, None, None]
 
 
 def column_reduce(net: NetSpec, sched: ReductionSchedule) -> NetSpec:
     """Zero the last min(m, w_j) columns of each generating matrix."""
-    _check_schedule(net, sched)
-    m = net.m
-    matrices = []
-    for c, wj in zip(net.matrices, sched.w):
-        keep = m - min(m, wj)
-        ent = tuple(
-            c.at(i, j) if j < keep else 0 for i in range(m) for j in range(m)
-        )
-        matrices.append(FieldMatrix(net.base, m, m, ent))
-    return NetSpec(net.base, m, tuple(matrices), provenance="constructed")
+    keep = np.arange(net.m) < _kept(net, sched)
+    return NetSpec(net.base, net.m, np.where(keep, net.digits, 0))
 
 
 def row_reduce(net: NetSpec, sched: ReductionSchedule) -> NetSpec:
     """Zero the last min(m, w_j) rows instead; comparison utility only."""
-    _check_schedule(net, sched)
-    m = net.m
-    matrices = []
-    for c, wj in zip(net.matrices, sched.w):
-        keep = m - min(m, wj)
-        ent = tuple(
-            c.at(i, j) if i < keep else 0 for i in range(m) for j in range(m)
-        )
-        matrices.append(FieldMatrix(net.base, m, m, ent))
-    return NetSpec(net.base, m, tuple(matrices), provenance="constructed")
+    keep = np.arange(net.m)[:, None] < _kept(net, sched)
+    return NetSpec(net.base, net.m, np.where(keep, net.digits, 0))
 
 
 def prepend_zero_columns_seq(
@@ -282,19 +290,15 @@ def prepend_zero_columns_seq(
     """
     if t < 0 or t > m:
         raise ValueError("need 0 <= t <= m")
+    if d2.base != d1.base:
+        raise ValueError("base mismatch")
     matrices = []
     for d in (d1, d2):
-        if d.base != d1.base:
-            raise ValueError("base mismatch")
         if d.n_rows < m or d.n_cols < m:
             raise ValueError(f"input matrices must be at least {m}x{m}")
-        ent = tuple(
-            d.at(i, j - t) if j >= t else 0 for i in range(m) for j in range(m)
-        )
-        matrices.append(FieldMatrix(d.base, m, m, ent))
-    return NetSpec(
-        d1.base, m, tuple(matrices), declared_t=t, provenance="constructed"
-    )
+        ent = (d.at(i, j - t) if j >= t else 0 for i in range(m) for j in range(m))
+        matrices.append(FieldMatrix(d.base, m, m, tuple(ent)))
+    return NetSpec.from_matrices(d1.base, m, matrices, declared_t=t)
 
 
 def block_diag_seq(d2: FieldMatrix, t: int, m: int) -> FieldMatrix:
@@ -320,32 +324,28 @@ def block_diag_seq(d2: FieldMatrix, t: int, m: int) -> FieldMatrix:
     return FieldMatrix(d2.base, m, m, tuple(ent))
 
 
-def coordinate_numerators(mats: Sequence[FieldMatrix], n_digits: int) -> np.ndarray:
+def coordinate_numerators(digits: np.ndarray, base: int, n_digits: int) -> np.ndarray:
     """Numerators of k coordinates over the first base^n_digits indices.
 
-    ``mats`` are the k generating matrices of those coordinates, all square
-    and of one base and size m; column c of the returned int64
-    (base^n_digits, k) block holds the numerators of ``mats[c]`` over b^m.
-    Index d b^i + k' (k' < b^i) differs from (d-1) b^i + k' only in digit i,
-    so its output digits are the earlier ones plus C[:, i] mod b: the
-    doubling of Antonov-Saleev and Bratley-Fox.  Base 2 runs it on packed
-    column integers with XOR; other bases run it one output digit at a time.
+    ``digits`` holds k generating matrices over F_base as ``NetSpec.digits``
+    does; column c of the returned int64 (base^n_digits, k) block holds the
+    numerators of matrix c over b^m.  Index d b^i + k' (k' < b^i) differs
+    from (d-1) b^i + k' only in digit i, so its output digits are the
+    earlier ones plus C[:, i] mod b: the doubling of Antonov-Saleev and
+    Bratley-Fox.  Base 2 runs it on packed column integers with XOR; other
+    bases run it one output digit at a time.
     """
-    if not mats:
-        raise ValueError("need at least one generating matrix")
-    base, m = mats[0].base, mats[0].n_rows
-    for mat in mats:
-        if mat.n_rows != m or mat.n_cols != m:
-            raise ValueError("generating matrices must be square and of one size")
-        if mat.base != base:
-            raise ValueError("generating matrices must share one base")
+    c = np.asarray(digits)
+    if c.ndim != 3 or not c.shape[0] or c.shape[1] != c.shape[2]:
+        raise ValueError("need a nonempty (k, m, m) array of square matrices")
+    m = c.shape[1]
     if not 0 <= n_digits <= m:
         raise ValueError("n_digits outside [0, m]")
     if base**m >= 1 << 62:
         raise ValueError("b^m too large for exact 64-bit numerators")
-    # unsigned digits that hold 2b - 2, as _numerators_digits needs
-    dtype = np.uint8 if base < 128 else np.uint64
-    c = np.array([mat.entries for mat in mats], dtype=dtype).reshape(-1, m, m)
+    if c.min() < 0 or c.max() >= base:
+        raise ValueError(f"digits outside [0, {base})")
+    c = c.astype(np.uint8 if base < 128 else np.uint64, copy=False)
     if base == 2:
         return _numerators_xor(c, n_digits)
     return _numerators_digits(c, base, n_digits)
@@ -373,7 +373,8 @@ def _numerators_digits(c: np.ndarray, base: int, n_digits: int) -> np.ndarray:
 
     The doubling runs on one output digit r at a time in an (N, k) digit
     array y_r of c's type, and the numerators accumulate as
-    out = out b + y_r.  The type must hold 2b - 2; being unsigned, x - b
+    out = out b + y_r, in the narrowest of uint16, uint32 and int64 that
+    holds b^m - 1.  The digit type must hold 2b - 2; being unsigned, x - b
     wraps above x exactly when x < b, so for x < 2b, min(x, x - b) is
     x mod b without a division.
     """
@@ -381,7 +382,8 @@ def _numerators_digits(c: np.ndarray, base: int, n_digits: int) -> np.ndarray:
     n_rows = base**n_digits
     y = np.zeros((n_rows, k), dtype=c.dtype)
     tmp = np.empty((n_rows // base, k), dtype=c.dtype)
-    out = np.zeros((n_rows, k), dtype=np.int64)
+    acc = np.uint16 if base**m <= 65536 else np.uint32 if base**m <= 2**32 else np.int64
+    out = np.zeros((n_rows, k), dtype=acc)
     for r in range(m):
         n = 1
         for i in range(n_digits):
@@ -392,8 +394,8 @@ def _numerators_digits(c: np.ndarray, base: int, n_digits: int) -> np.ndarray:
                 np.minimum(block, tmp[:n], out=block)
             n *= base
         out *= base
-        np.add(out, y, out=out, dtype=np.int64)
-    return out
+        np.add(out, y, out=out, dtype=acc)
+    return out.astype(np.int64, copy=False)
 
 
 def generate_points(net: NetSpec, first_digits: int | None = None) -> PointBlock:
@@ -407,7 +409,7 @@ def generate_points(net: NetSpec, first_digits: int | None = None) -> PointBlock
     if not 0 <= first_digits <= net.m:
         raise ValueError("first_digits outside [0, m]")
     return PointBlock(
-        net.base, net.m, coordinate_numerators(net.matrices, first_digits)
+        net.base, net.m, coordinate_numerators(net.digits, net.base, first_digits)
     )
 
 
@@ -426,32 +428,30 @@ def point_slow(net: NetSpec, k: int) -> tuple[Fraction, ...]:
 def write_net(net: NetSpec, fh: IO[str]) -> None:
     """Text format: line ``b m s``; then for each j, m lines of m digits."""
     fh.write(f"{net.base} {net.m} {net.s}\n")
-    for mat in net.matrices:
-        for i in range(net.m):
-            fh.write(" ".join(str(e) for e in mat.row(i)) + "\n")
+    line = " ".join(["%d"] * net.m) + "\n"
+    rows = net.digits.reshape(-1, net.m)
+    for start in range(0, rows.shape[0], 4096):
+        block = rows[start : start + 4096]
+        fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def read_net(fh: IO[str]) -> NetSpec:
     """Parse the :func:`write_net` format; blank lines are ignored."""
-    lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
+    head = next((ln.split() for ln in fh if ln.strip()), None)
+    if head is None:
         raise ValueError("empty net file")
-    head = lines[0].split()
     if len(head) != 3:
         raise ValueError("header must be 'b m s'")
     base, m, s = (int(x) for x in head)
-    need = 1 + s * m
-    if len(lines) != need:
-        raise ValueError(f"expected {need} lines, found {len(lines)}")
-    matrices = []
-    pos = 1
-    for _ in range(s):
-        rows = []
-        for _ in range(m):
-            row = [int(x) for x in lines[pos].split()]
-            if len(row) != m:
-                raise ValueError(f"row length {len(row)} != m = {m}")
-            rows.append(row)
-            pos += 1
-        matrices.append(FieldMatrix.from_rows(base, rows))
-    return NetSpec(base, m, tuple(matrices), provenance="file")
+    if m < 1 or s < 1:
+        raise ValueError("header needs m >= 1 and s >= 1")
+    lines = [ln for ln in fh if ln.strip()]
+    if len(lines) != s * m:
+        raise ValueError(f"expected {1 + s * m} lines, found {1 + len(lines)}")
+    try:
+        digits = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValueError(f"bad net file body: {str(exc).split(';')[0]}") from None
+    if digits.shape[1] != m:
+        raise ValueError(f"row length {digits.shape[1]} != m = {m}")
+    return NetSpec(base, m, digits.reshape(s, m, m), provenance="file")

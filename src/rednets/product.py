@@ -193,13 +193,11 @@ def _validate_reduced(net: NetSpec, sched: ReductionSchedule) -> None:
     if sched.s != net.s:
         raise ValueError("schedule length does not match net dimension")
     m = net.m
-    nonzero = np.array([mat.entries for mat in net.matrices], dtype=bool)
     zeroed = np.array([min(m, wj) for wj in sched.w])
     declared = np.arange(m)[None, :] >= (m - zeroed)[:, None]
-    bad = nonzero.reshape(-1, m, m) & declared[:, None, :]
-    if bad.any():
-        j = int(bad.any(axis=(1, 2)).argmax())
-        c = int(bad[j].argmax()) % m
+    bad = np.argwhere((net.digits != 0) & declared[:, None, :])
+    if bad.size:
+        j, _, c = bad[0]
         raise ValueError(
             f"matrix {j + 1} has a nonzero entry in column {c + 1}, "
             f"but the schedule declares the last {zeroed[j]} columns zero"
@@ -244,7 +242,7 @@ def fast_reduced_product(
         # coordinates lo+1..hi share w, hence one index range and one kernel
         # call; at most tau b^w of them, so the block is no larger than p
         lo = max(sched.w.index(wv), hi - max(tau, 1) * b**wv)
-        nums = coordinate_numerators(net.matrices[lo:hi], m - wv)
+        nums = coordinate_numerators(net.digits[lo:hi], b, m - wv)
         for j in range(hi, lo, -1):
             p += grid[nums[:, j - lo - 1], None] * a[j - 1, None, :]
         hi = lo

@@ -86,7 +86,7 @@ def test_criterion_4_sharpness_constructions():
             d1, d2 = rn.pascal_net(2, m, 2).matrices
             lower_net = rn.prepend_zero_columns_seq(d1, d2, t, m)
             e2 = rn.block_diag_seq(d2, t, m)
-            upper_net = rn.NetSpec(2, m, (lower_net.matrices[0], e2))
+            upper_net = rn.NetSpec.from_matrices(2, m, (lower_net.matrices[0], e2))
             for w2 in range(m - t + 1):
                 sched = rn.ReductionSchedule.explicit([0, w2])
                 r_low = rn.rho(rn.column_reduce(lower_net, sched))

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line surface."""
 
+import io
+
 import numpy as np
+import pytest
 
 import rednets as rn
 from rednets.cli import BENCH_CSV_FIELDS, main, parse_schedule
@@ -126,6 +129,37 @@ def test_exit_code_2_on_validation_error(tmp_path, capsys):
     assert err.startswith("error:")
     code, _, err = run(capsys, "tvalue", "--net", str(tmp_path / "missing.txt"))
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "\n \n",
+    "2 2\n1 0\n0 1\n",
+    "2 2 1\n1 0\n",
+    "2 2 1\n1 0\n0 1\n1 1\n",
+    "2 2 1\n1 0 1\n0 1\n",
+    "2 2 1\n1 0 1\n0 1 0\n",
+    "2 2 1\n1 0\n0 2\n",
+    "3 2 1\n1 0\n0 -1\n",
+    "2 2 1\n1 0\n0 1.0\n",
+    "2 2 1\n1 0\nx 1\n",
+    "2 2 1\n1 0\n# 1\n",
+    "2 x 1\n1 0\n0 1\n",
+    "4 2 1\n1 0\n0 1\n",
+    "2 0 1\n",
+    "2 2 0\n",
+])
+def test_malformed_net_file_is_a_one_line_error_with_exit_2(tmp_path, capsys, text):
+    with pytest.raises(ValueError) as err:
+        rn.read_net(io.StringIO(text))
+    assert str(err.value) and "\n" not in str(err.value)
+    net, a = tmp_path / "bad.txt", tmp_path / "a.csv"
+    net.write_text(text)
+    a.write_text("1\n1\n")
+    code, _, err_text = run(capsys, "product", "--net", str(net), "--a", str(a),
+                            "--algo", "standard")
+    assert code == 2
+    assert err_text.startswith("error:") and err_text.count("\n") == 1
 
 
 def test_exit_code_3_on_budget_exhaustion(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for net construction, reduction, and point generation."""
 
+import dataclasses
+import hashlib
 import io
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import rednets as rn
 from rednets.nets import (
     _numerators_digits,
     _numerators_xor,
+    _uniform_digits,
     coordinate_numerators,
     point_slow,
 )
@@ -33,6 +36,70 @@ def binom_mod_lucas(n, k, p):
             den = (den * (i + 1)) % p
         out = (out * num * pow(den, -1, p)) % p
     return out
+
+
+def splitmix64_scalar(seed):
+    """Scalar SplitMix64 stream; the reference for the vectorised sampler."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def uniform_digits_scalar(seed, count, base, limit):
+    """The first count draws below limit, mod base, one draw at a time."""
+    stream = splitmix64_scalar(seed)
+    out = []
+    while len(out) < count:
+        v = next(stream)
+        if v < limit:
+            out.append(v % base)
+    return out
+
+
+# --- NetSpec ---------------------------------------------------------------
+
+
+def test_netspec_value_semantics_and_read_only_digits():
+    eye = np.eye(3, dtype=np.int64)[None]
+    net = rn.NetSpec(2, 3, eye)
+    assert net == rn.NetSpec(2, 3, eye.copy())
+    assert hash(net) == hash(rn.NetSpec(2, 3, eye.copy()))
+    assert net != rn.NetSpec(3, 3, eye)
+    assert net != rn.NetSpec(2, 3, 1 - eye)
+    assert net != rn.NetSpec(2, 3, eye, provenance="file")
+    with pytest.raises(ValueError):
+        net.digits[0, 0, 0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.digits = 1 - eye
+    eye[0, 0, 0] = 0  # the net holds its own copy
+    assert net.digits[0, 0, 0] == 1
+
+
+def test_netspec_rejects_malformed_digits():
+    for digits in (
+        np.zeros((0, 3, 3), dtype=np.int64),
+        np.zeros((2, 3, 4), dtype=np.int64),
+        np.zeros((3, 3), dtype=np.int64),
+        np.zeros((1, 3, 3)),
+        np.full((1, 3, 3), 2),
+        np.full((1, 3, 3), -1),
+    ):
+        with pytest.raises(ValueError):
+            rn.NetSpec(2, 3, digits)
+
+
+@pytest.mark.parametrize("base", [2, 3, 131])
+def test_netspec_matrices_round_trip_through_from_matrices(base):
+    net = rn.random_net(base, 3, 4, seed=base)
+    assert net.digits.dtype == (np.uint8 if base < 128 else np.uint64)
+    again = rn.NetSpec.from_matrices(base, 3, net.matrices, provenance=net.provenance)
+    assert again == net
+    assert again.matrices == net.matrices
 
 
 # --- pascal_net ------------------------------------------------------------
@@ -93,6 +160,31 @@ def test_random_net_deterministic():
     a = rn.random_net(2, 5, 3, seed=123)
     b = rn.random_net(2, 5, 3, seed=123)
     assert a == b
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 7, 131])
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
+def test_random_net_digits_match_scalar_splitmix64(base, seed):
+    net = rn.random_net(base, 3, 5, seed)
+    limit = (1 << 64) - (1 << 64) % base
+    assert net.digits.ravel().tolist() == uniform_digits_scalar(seed, 45, base, limit)
+
+
+@pytest.mark.parametrize("base,limit", [(2, 5 << 60), (3, 3 << 62), (5, 1 << 63)])
+def test_uniform_digits_rejection_matches_scalar(base, limit):
+    # the real limit rejects a draw with probability below b / 2^64, so only
+    # a lower limit exercises the rejection branch
+    got = _uniform_digits(17, 500, base, limit).tolist()
+    assert got == uniform_digits_scalar(17, 500, base, limit)
+    assert got != uniform_digits_scalar(17, 500, base, 1 << 64)
+
+
+def test_random_net_paper_scale_file_is_pinned():
+    buf = io.StringIO()
+    rn.write_net(rn.random_net(2, 12, 800, seed=0), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "150c89a167738622b5310c68ea0abd747e2bbbb5469fd6e3b9ebe69f969d3187"
+    )
 
 
 def test_random_net_paper_scale_shapes():
@@ -343,21 +435,38 @@ def test_generate_points_first_digits_validation():
 def test_coordinate_numerators_block_matches_oracle(base, m, k, seed, data):
     net = rn.random_net(base, m, k, seed=seed)
     n_digits = data.draw(st.integers(0, m))
-    block = coordinate_numerators(net.matrices, n_digits)
+    block = coordinate_numerators(net.digits, base, n_digits)
     assert block.shape == (base**n_digits, k)
     assert block.dtype == np.int64
     for idx in range(min(block.shape[0], 150)):
         got = [Fraction(int(v), base**m) for v in block[idx]]
         assert got == list(point_slow(net, idx))
     if base == 2:
-        c = np.array([mat.entries for mat in net.matrices], dtype=np.uint8).reshape(k, m, m)
-        assert np.array_equal(_numerators_digits(c, 2, n_digits), block)
-        assert np.array_equal(_numerators_xor(c, n_digits), block)
+        assert np.array_equal(_numerators_digits(net.digits, 2, n_digits), block)
+        assert np.array_equal(_numerators_xor(net.digits, n_digits), block)
+
+
+@pytest.mark.parametrize(
+    "base,m,n_digits", [(2, 16, 16), (2, 17, 17), (3, 10, 10), (3, 11, 11), (3, 21, 3)]
+)
+def test_numerators_digits_at_accumulator_width_boundaries(base, m, n_digits):
+    # b^m up to 2^16 accumulates in uint16, up to 2^32 in uint32, else int64
+    net = rn.pascal_net(base, m, 2)
+    block = _numerators_digits(net.digits, base, n_digits)
+    assert block.dtype == np.int64
+    if n_digits == m:
+        # both matrices are invertible: each column is a permutation of [0, b^m)
+        for col in block.T:
+            assert np.array_equal(np.sort(col), np.arange(base**m))
+    n_rows = base**n_digits
+    for idx in sorted({0, 1, n_rows // 3, n_rows - 2, n_rows - 1}):
+        got = [Fraction(int(v), base**m) for v in block[idx]]
+        assert got == list(point_slow(net, idx))
 
 
 def test_coordinate_numerators_base_beyond_uint8_digits():
     net = rn.random_net(131, 2, 3, seed=4)
-    block = coordinate_numerators(net.matrices, 2)
+    block = coordinate_numerators(net.digits, 131, 2)
     for idx in (0, 1, 130, 131, 5000, 131**2 - 1):
         got = [Fraction(int(v), 131**2) for v in block[idx]]
         assert got == list(point_slow(net, idx))
@@ -365,18 +474,18 @@ def test_coordinate_numerators_base_beyond_uint8_digits():
 
 def test_coordinate_numerators_rejects_mixed_or_empty_input():
     with pytest.raises(ValueError):
-        coordinate_numerators([], 0)
+        coordinate_numerators(np.zeros((0, 3, 3), dtype=np.uint8), 2, 0)
     with pytest.raises(ValueError):
-        coordinate_numerators([rn.FieldMatrix.identity(2, 3), rn.FieldMatrix.identity(3, 3)], 1)
+        coordinate_numerators(np.full((2, 3, 3), 2, dtype=np.uint8), 2, 1)
     with pytest.raises(ValueError):
-        coordinate_numerators([rn.FieldMatrix.identity(2, 3), rn.FieldMatrix.identity(2, 4)], 1)
+        coordinate_numerators(np.eye(3, dtype=np.uint8), 2, 1)
     with pytest.raises(ValueError):
-        coordinate_numerators([rn.FieldMatrix.zeros(2, 3, 4)], 1)
+        coordinate_numerators(np.zeros((1, 3, 4), dtype=np.uint8), 2, 1)
 
 
 def test_coordinate_numerators_rejects_b_m_beyond_int64():
     with pytest.raises(ValueError):
-        coordinate_numerators([rn.FieldMatrix.identity(2, 62)], 0)
+        coordinate_numerators(np.eye(62, dtype=np.uint8)[None], 2, 0)
 
 
 # --- file formats ----------------------------------------------------------
@@ -407,6 +516,11 @@ def test_read_net_rejects_malformed():
         rn.read_net(io.StringIO("2 2 1\n1 0\n"))
     with pytest.raises(ValueError):
         rn.read_net(io.StringIO("2 2 1\n1 0 1\n0 1 0\n"))
+
+
+def test_read_net_ignores_blank_lines():
+    net = rn.read_net(io.StringIO("\n2 2 1\n\n1 0\n  \n0 1\n\n"))
+    assert net.matrices[0] == rn.FieldMatrix.identity(2, 2)
 
 
 def test_points_csv_format():

@@ -189,7 +189,7 @@ def test_fast_rejection_names_first_offending_matrix_and_column():
     bad2 = [[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     bad3 = [[1, 0, 0, 1]] * 4
     mats = tuple(rn.FieldMatrix.from_rows(2, rows) for rows in (eye, bad2, bad3))
-    net = rn.NetSpec(2, 4, mats)
+    net = rn.NetSpec.from_matrices(2, 4, mats)
     sched = rn.ReductionSchedule.explicit([0, 2, 7])
     with pytest.raises(ValueError) as err:
         rn.fast_reduced_product(net, sched, np.zeros((3, 1)))
