@@ -9,7 +9,10 @@ import argparse
 import pathlib
 import sys
 
-from rednets.cli import main as cli_main
+# Import rednets from this source checkout when it is not installed.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from rednets.cli import main as cli_main  # noqa: E402
 
 
 def run(out_dir: pathlib.Path, reps: int, seed: int, m_max: int) -> int:

@@ -180,7 +180,7 @@ def exact_star_discrepancy(
     are evaluated (the strict inequality in the counting means the value
     from above uses closed counts, the value at the corner open counts).
     All comparisons are integer-exact; cost and the budget are measured in
-    grid corners, which grow as N^|u|.
+    grid corners, which grow as N^|u|, while memory grows as N^(|u|-1).
     """
     if u is None:
         u = tuple(range(1, points.s + 1))
@@ -199,51 +199,56 @@ def exact_star_discrepancy(
             f"{n_cells} grid corners exceed budget {budget}"
         )
 
-    # Histogram of points at their per-axis grid positions; an inclusive
-    # prefix sum per axis turns it into closed counts #{y <= corner}.
-    hist = np.zeros(tuple(g.size for g in grids), dtype=np.int64)
-    idx = tuple(
-        np.searchsorted(g, points.numerators[:, c])
-        for g, c in zip(grids, cols)
-    )
-    np.add.at(hist, idx, 1)
-    closed = hist
-    for axis in range(d):
-        np.cumsum(closed, axis=axis, out=closed)
-
-    # Open counts #{y < corner} equal the closed counts one grid step back
-    # in every axis (coordinates sit exactly on grid values).  Scan slices
-    # along the first axis to keep one full-size array alive.
-    rest = grids[1:]
-    if rest:
-        rest_vol = rest[0].reshape(-1, *([1] * (len(rest) - 1)))
-        for axis in range(1, len(rest)):
-            shape = [1] * len(rest)
-            shape[axis] = -1
-            rest_vol = rest_vol * rest[axis].reshape(shape)
-    else:
-        rest_vol = np.int64(1)
-    # Deviations live over the common denominator b^(m d); numerators fit
-    # in int64 for b^m <= 4096 and d <= 3.
+    # Walk the first axis in order, keeping one plane over the remaining
+    # axes: after slice i it holds the closed counts #{y <= corner} of the
+    # corners with first coordinate grids[0][i], scaled to the common
+    # denominator b^(m d).  Memory is O(N^(d-1)), not O(N^d).  Numerators
+    # fit in int64 for b^m <= 4096 and d <= 3.
     scale = n_full ** (d - 1)
+    idx = [np.searchsorted(g, points.numerators[:, c]) for g, c in zip(grids, cols)]
+    plane_idx = np.array(idx[1:], dtype=np.intp).reshape(d - 1, points.n_points)
+    order = np.argsort(idx[0], kind="stable")
+    starts = np.searchsorted(idx[0][order], np.arange(grids[0].size + 1))
+    plane = tuple(g.size for g in grids[1:])
+    plane_vol = np.ones(plane, dtype=np.int64)
+    for axis, g in enumerate(grids[1:]):
+        shape = [1] * (d - 1)
+        shape[axis] = -1
+        plane_vol = plane_vol * g.reshape(shape)
+    # Open counts #{y < corner} are the previous slice's closed counts one
+    # grid step back along every plane axis (coordinates sit exactly on
+    # grid values).  Corners on the low edge of the plane have none, so
+    # their deviation is the volume, largest at the edge's far corner.
+    inner = (slice(1, None),) * (d - 1)
+    below = (slice(None, -1),) * (d - 1)
+    edge = np.ones(plane, dtype=bool)
+    edge[inner] = False
+    edge_vol = int(np.where(edge, plane_vol, 0).max())
+    closed = np.zeros(plane, dtype=np.int64)
     best = 0
-    zero_slice = np.int64(0)
-    for i in range(grids[0].size):
-        vol = grids[0][i] * rest_vol
-        dev_plus = closed[i] * scale - vol
-        if i == 0:
-            open_slice = zero_slice
-        else:
-            prev = closed[i - 1]
+    for i, g0 in enumerate(grids[0]):
+        vol = plane_vol * g0
+        dev_minus = np.max(vol[inner] - closed[below], initial=0)
+        best = max(best, int(g0) * edge_vol, int(dev_minus))
+        at = plane_idx[:, order[starts[i] : starts[i + 1]]]
+        if at.shape[1] == 1:
+            # Distinct first coordinates, as in every full block of a net
+            # with nonsingular matrices, give one point per slice; adding
+            # to its orthant takes half the time of the histogram below.
+            closed[tuple(slice(k, None) for k in at[:, 0].tolist())] += scale
+        elif at.shape[1] > 1:
+            # Histogram the slice's points over the block above their lowest
+            # corner and prefix-sum it along every axis.  The leading length-1
+            # axis gives np.add.at an index array even for a 0-d plane.
+            lo = at.min(axis=1)
+            block = tuple(slice(k, None) for k in lo.tolist())
+            hist = np.zeros(closed[block].shape, dtype=np.int64)
+            cells = (np.zeros(at.shape[1], dtype=np.intp),) + tuple(at - lo[:, None])
+            np.add.at(hist[None], cells, scale)
             for axis in range(d - 1):
-                pad = [(0, 0)] * (d - 1)
-                pad[axis] = (1, 0)
-                sl = [slice(None)] * (d - 1)
-                sl[axis] = slice(0, -1)
-                prev = np.pad(prev, pad)[tuple(sl)]
-            open_slice = prev
-        dev_minus = vol - open_slice * scale
-        best = max(best, int(np.max(dev_plus)), int(np.max(dev_minus)))
+                hist = np.cumsum(hist, axis=axis)
+            closed[block] += hist
+        best = max(best, int(np.max(closed - vol)))
     return best / float(n_full**d)
 
 

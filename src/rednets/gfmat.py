@@ -2,9 +2,10 @@
 
 Small dense matrices with digit entries in {0, ..., b-1}, b prime.  Values
 are immutable and operations are pure, so they can be shared freely across
-threads.  Rank is computed by Gaussian elimination: base 2 goes through a
-packed bit-row routine, every other prime through a generic digit-array
-routine with modular inverses.
+threads.  Rank is computed by Gaussian elimination, one row at a time into
+an echelon basis, on packed bit rows for base 2 and on digit rows with
+modular inverses otherwise.  ``rank_generic`` eliminates a whole digit
+array independently and is kept as the reference.
 """
 
 from __future__ import annotations
@@ -22,15 +23,48 @@ __all__ = [
 ]
 
 
+# The first 13 primes.  A strong probable prime to all of them is prime
+# below 3317044064679887385961981 (about 3.3e24); the first 12 alone admit
+# the composite 318665857834031151167461.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+# Bases are held below 2^63, where the test above is exact and uint64
+# digit arrays hold 2b - 2.
+_BASE_LIMIT = 1 << 63
+
+
+def _check_base(base: int) -> None:
+    """Raise ValueError unless base is a prime below 2^63."""
+    if not (base < _BASE_LIMIT and is_prime(base)):
+        raise ValueError(f"base must be a prime below 2^63, got {base}")
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check (bases here are small)."""
+    """Deterministic Miller-Rabin test, exact for n < 3.3e24.
+
+    Above that bound a True means n is a strong probable prime to the
+    first 13 prime bases.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -48,8 +82,7 @@ class FieldMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.base):
-            raise ValueError(f"base must be prime, got {self.base}")
+        _check_base(self.base)
         if self.n_rows < 0 or self.n_cols < 1:
             raise ValueError(f"invalid shape {self.n_rows}x{self.n_cols}")
         if len(self.entries) != self.n_rows * self.n_cols:
@@ -172,17 +205,7 @@ def stack_rows(parts: Iterable[tuple[FieldMatrix, int]]) -> FieldMatrix:
 
 def rank(mat: FieldMatrix) -> int:
     """F_b-rank via Gaussian elimination; packed bit rows when b = 2."""
-    if mat.n_rows == 0:
-        return 0
-    if mat.base == 2:
-        packed = []
-        for i in range(mat.n_rows):
-            word = 0
-            for j, e in enumerate(mat.row(i)):
-                word |= e << j
-            packed.append(word)
-        return _rank_bits(packed, mat.n_cols)
-    return rank_generic(mat)
+    return _rank_rows(_rank_form(mat.rows(), mat.base), mat.base)
 
 
 def rank_generic(mat: FieldMatrix) -> int:
@@ -215,21 +238,38 @@ def rank_generic(mat: FieldMatrix) -> int:
     return r
 
 
-def _rank_bits(rows: list[int], n_cols: int) -> int:
-    r = 0
-    for col in range(n_cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
+def _rank_form(rows: Iterable[Sequence[int]], base: int) -> list:
+    """Digit rows in the form :func:`_rank_rows` takes.
+
+    Base 2 rows become ints with column j at bit j; other rows become
+    digit lists.
+    """
+    if base == 2:
+        return [sum(e << j for j, e in enumerate(row)) for row in rows]
+    return [list(row) for row in rows]
+
+
+def _rank_rows(rows: Iterable, base: int) -> int:
+    """Rank of rows inserted one at a time into an echelon basis.
+
+    Rows come from :func:`_rank_form`.  Base 2 rows are ints, keyed in the
+    basis by their lowest set bit.  Other rows are digit lists; the basis
+    keeps them scaled to a pivot entry of 1, keyed by the pivot column.
+    """
+    basis: dict = {}
+    for row in rows:
+        if base == 2:
+            while row and (row & -row) in basis:
+                row ^= basis[row & -row]
+            if row:
+                basis[row & -row] = row
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, len(rows)):
-            if (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        for col in range(len(row)):
+            x = row[col]
+            if x and col in basis:
+                row = [(v - x * w) % base for v, w in zip(row, basis[col])]
+            elif x:
+                inv = pow(x, -1, base)
+                basis[col] = [(v * inv) % base for v in row]
+                break
+    return len(basis)

@@ -18,7 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .gfmat import FieldMatrix, is_prime, mat_vec
+from .gfmat import FieldMatrix, _check_base, mat_vec
 
 __all__ = [
     "NetSpec",
@@ -55,8 +55,7 @@ class NetSpec:
     provenance: str = "constructed"
 
     def __post_init__(self) -> None:
-        if not is_prime(self.base):
-            raise ValueError(f"base must be prime, got {self.base}")
+        _check_base(self.base)
         if self.m < 1:
             raise ValueError("m must be >= 1")
         d = np.asarray(self.digits)
@@ -204,11 +203,14 @@ class PointBlock:
         Values are exact fractions with the fixed denominator b^m written in
         decimal digits, e.g. ``12/16``; 0 is written as ``0/16``.
         """
-        den = self.base**self.m
         fh.write("k," + ",".join(f"x{j + 1}" for j in range(self.s)) + "\n")
-        for k in range(self.n_points):
-            row = ",".join(f"{int(v)}/{den}" for v in self.numerators[k])
-            fh.write(f"{k},{row}\n")
+        line = "%d," + ",".join([f"%d/{self.base**self.m}"] * self.s) + "\n"
+        step = max(1, (1 << 16) // (self.s + 1))
+        for start in range(0, self.n_points, step):
+            block = self.numerators[start : start + step]
+            ks = np.arange(start, start + block.shape[0], dtype=np.int64)
+            rows = np.column_stack((ks, block))
+            fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def _uniform_digits(seed: int, count: int, base: int, limit: int) -> np.ndarray:

@@ -13,11 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .gfmat import rank, stack_rows
+from .gfmat import _rank_form, _rank_rows
 from .nets import (
     NetSpec,
     PointBlock,
@@ -96,13 +96,11 @@ def rho(
         raise EnumerationBudgetError(
             f"rho enumeration needs ~{work} work units, budget is {budget}"
         )
-    mats = [net.matrices[j - 1] for j in u]
+    rows = [_rank_form(net.digits[j - 1].tolist(), net.base) for j in u]
     for r in range(1, m + 1):
         for d in compositions(r, k):
-            if any(dj > m for dj in d):
-                continue
-            stacked = stack_rows(list(zip(mats, d)))
-            if rank(stacked) != r:
+            stacked = [row for mat, dj in zip(rows, d) for row in mat[:dj]]
+            if _rank_rows(stacked, net.base) != r:
                 return r - 1
     return m
 
@@ -146,23 +144,68 @@ def theorem_bounds(
     )
 
 
-def _cell_counts_ok(
+def _cells_balanced(
     points: PointBlock,
     cols: Sequence[int],
-    depths: Sequence[int],
+    shapes: Iterable[Sequence[int]],
     t: int,
+    lead: dict[tuple[int, int], np.ndarray],
 ) -> bool:
-    """Check that every cell of the given digit depths holds exactly b^t points."""
-    b = points.base
+    """Check that every cell of every depth shape holds exactly b^t points.
+
+    A shape gives the digit depth of each column in ``cols``, summing to
+    m - t; its cells are keyed by the leading digits of the columns.  The
+    counts of a shape sum to b^m over b^(m-t) cells, so all equal b^t iff
+    none exceeds it.  ``lead`` caches the leading-digit arrays by (column,
+    depth) and may be shared by calls on the same block.  Consecutive
+    shapes that agree on their first columns share those columns' keys.
+    """
+    b, m = points.base, points.m
+    keys: list[np.ndarray | None] = [None] * len(cols)
+    prev = None
+    for depths in shapes:
+        j = 0
+        if prev is not None:
+            while depths[j] == prev[j]:
+                j += 1
+        key = keys[j - 1] if j else None
+        for j in range(j, len(cols)):
+            dj = depths[j]
+            if dj:
+                digits = lead.get((cols[j], dj))
+                if digits is None:
+                    digits = points.numerators[:, cols[j]] // b ** (m - dj)
+                    lead[cols[j], dj] = digits
+                key = digits if key is None else key * b**dj + digits
+            keys[j] = key
+        if key is not None and np.bincount(key).max() > b**t:
+            return False
+        prev = depths
+    return True
+
+
+def _tms_holds(
+    points: PointBlock,
+    t: int,
+    u: Sequence[int] | None,
+    budget: int,
+    lead: dict[tuple[int, int], np.ndarray],
+) -> bool:
+    """:func:`verify_tms_net` with a leading-digit cache the caller keeps."""
     m = points.m
-    n_cells = 1
-    key = np.zeros(points.n_points, dtype=np.int64)
-    for col, d in zip(cols, depths):
-        cell = points.numerators[:, col] // b ** (m - d)
-        key = key * b**d + cell
-        n_cells *= b**d
-    counts = np.bincount(key, minlength=n_cells)
-    return bool(np.all(counts == b**t))
+    if not 0 <= t <= m:
+        raise ValueError("need 0 <= t <= m")
+    if points.n_points != points.base**m:
+        raise ValueError("verification needs the full b^m-point block")
+    u = _normalize_subset(u, points.s)
+    k = len(u)
+    n_shapes = _n_compositions(m - t, k)
+    if n_shapes * points.n_points > budget:
+        raise EnumerationBudgetError(
+            f"{n_shapes} interval shapes x {points.n_points} points "
+            f"exceeds budget {budget}"
+        )
+    return _cells_balanced(points, [j - 1 for j in u], compositions(m - t, k), t, lead)
 
 
 def verify_tms_net(
@@ -178,24 +221,7 @@ def verify_tms_net(
     of u contains exactly b^t points.  Cell membership is decided on integer
     numerators, so the test is exact.
     """
-    m = points.m
-    if not 0 <= t <= m:
-        raise ValueError("need 0 <= t <= m")
-    if points.n_points != points.base**m:
-        raise ValueError("verification needs the full b^m-point block")
-    u = _normalize_subset(u, points.s)
-    k = len(u)
-    n_shapes = _n_compositions(m - t, k)
-    if n_shapes * points.n_points > budget:
-        raise EnumerationBudgetError(
-            f"{n_shapes} interval shapes x {points.n_points} points "
-            f"exceeds budget {budget}"
-        )
-    cols = [j - 1 for j in u]
-    for depths in compositions(m - t, k):
-        if not _cell_counts_ok(points, cols, depths, t):
-            return False
-    return True
+    return _tms_holds(points, t, u, budget, {})
 
 
 def strict_t(
@@ -205,8 +231,9 @@ def strict_t(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Smallest t for which the net property holds (scan t = 0, 1, ..., m)."""
+    lead: dict[tuple[int, int], np.ndarray] = {}
     for t in range(points.m + 1):
-        if verify_tms_net(points, t, u, budget=budget):
+        if _tms_holds(points, t, u, budget, lead):
             return t
     raise AssertionError("t = m always verifies; unreachable")
 
@@ -249,12 +276,8 @@ def verify_tmes_net(
             f"{len(sols)} interval shapes x {points.n_points} points "
             f"exceeds budget {budget}"
         )
-    cols = list(range(points.s))
-    for d in sols:
-        depths = [ej * dj for ej, dj in zip(e, d)]
-        if not _cell_counts_ok(points, cols, depths, t):
-            return False
-    return True
+    shapes = ([ej * dj for ej, dj in zip(e, d)] for d in sols)
+    return _cells_balanced(points, range(points.s), shapes, t, {})
 
 
 @dataclass(frozen=True)

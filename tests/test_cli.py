@@ -1,12 +1,19 @@
 """End-to-end tests of the command-line surface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rednets as rn
 from rednets.cli import BENCH_CSV_FIELDS, main, parse_schedule
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -148,6 +155,7 @@ def test_exit_code_2_on_validation_error(tmp_path, capsys):
     "4 2 1\n1 0\n0 1\n",
     "2 0 1\n",
     "2 2 0\n",
+    f"{2**89 - 1} 1 1\n0\n",
 ])
 def test_malformed_net_file_is_a_one_line_error_with_exit_2(tmp_path, capsys, text):
     with pytest.raises(ValueError) as err:
@@ -252,3 +260,30 @@ def test_determinism_same_seed_same_bytes(tmp_path, capsys):
         store["prod"] = prod.read_bytes()
         store["report"] = report
     assert first == second
+
+
+def test_rho_on_a_net_with_a_huge_prime_base_exits_at_once(tmp_path):
+    # 2^61 - 1 is prime: the primality check on the header base must not
+    # take time growing with sqrt(b).
+    net = tmp_path / "net.txt"
+    net.write_text("2305843009213693951 1 1\n0\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rednets.cli", "rho", "--net", str(net)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rho = 0"
+
+
+def test_bench_vary_m_script_runs_from_a_source_checkout(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_vary_m.py"),
+         "--m-max", "8", "--reps", "3", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "vary_m_s800_tau20_log.csv").read_text().splitlines()
+    assert rows[0] == BENCH_CSV_FIELDS
+    assert sum(",median," in row for row in rows) == 2

@@ -1,12 +1,15 @@
 """Tests for local/star discrepancy and the weighted bound machinery."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rednets as rn
 from rednets.quality import EnumerationBudgetError
@@ -150,6 +153,41 @@ def test_star_disc_matches_fraction_oracle_random_sets():
         u = tuple(range(1, s + 1))
         got = rn.exact_star_discrepancy(blk, u)
         assert got == pytest.approx(float(slow_star_disc(blk, u)), abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.data())
+def test_star_disc_matches_fraction_oracle_over_bases(base, d, data):
+    # Keep the oracle's corners x points below about 1e5.
+    m = data.draw(st.integers(1, max(
+        k for k in range(1, 8) if k == 1 or (base**k + 1) ** d * base**k <= 10**5
+    )))
+    seed = data.draw(st.integers(0, 2**32))
+    if data.draw(st.booleans()):
+        net = rn.random_net(base, m, 3, seed=seed)
+        w = sorted(data.draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
+        net = rn.column_reduce(net, rn.ReductionSchedule.explicit([0, *w]))
+        # a leading block (first_digits < m) repeats coordinate values
+        pts = rn.generate_points(net, data.draw(st.integers(0, m)))
+    else:
+        # arbitrary points, which need not include the origin
+        n = data.draw(st.integers(0, base**m))
+        rng = np.random.default_rng(seed)
+        pts = rn.PointBlock(base, m, rng.integers(0, base**m, size=(n, 3)))
+    u = tuple(sorted(data.draw(st.sets(st.integers(1, 3), min_size=d, max_size=d))))
+    assert rn.exact_star_discrepancy(pts, u) == float(slow_star_disc(pts, u))
+
+
+def test_star_disc_memory_stays_below_one_plane_of_corners():
+    # 257^3 int64 corner counts would take 136 MB; one 257^2 plane is 0.5 MB.
+    pts = rn.generate_points(rn.pascal_net(2, 8, 3))
+    tracemalloc.start()
+    try:
+        rn.exact_star_discrepancy(pts, (1, 2, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_star_disc_dominates_local_discrepancy_probes():

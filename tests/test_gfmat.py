@@ -30,8 +30,44 @@ def field_matrices(draw, bases=(2, 3, 5), max_dim=6):
     return FieldMatrix(b, r, c, tuple(ent))
 
 
+def is_prime_trial(n):
+    """Trial-division oracle."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert all(is_prime(n) == is_prime_trial(n) for n in range(-2, 10**5))
+
+
+def test_is_prime_rejects_pseudoprimes_and_accepts_large_primes():
+    assert not is_prime(561)  # Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    # strong pseudoprime to the first 12 prime bases, 2 through 37
+    assert not is_prime(399165290221 * 798330580441)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**61 - 1) * (2**31 - 1))
+
+
+def test_field_matrix_base_is_a_prime_below_2_pow_63():
+    # is_prime is exact below 3.3e24 only, so larger bases are refused by
+    # a bound rather than by the test; 2^89 - 1 is prime but beyond it.
+    below = next(n for n in range(2**63 - 1, 2**63 - 100, -1) if is_prime(n))
+    above = next(n for n in range(2**63, 2**63 + 100) if is_prime(n))
+    assert FieldMatrix.identity(below, 2).entries == (1, 0, 0, 1)
+    for base in (above, 2**89 - 1):
+        with pytest.raises(ValueError, match=r"prime below 2\^63"):
+            FieldMatrix(base, 1, 1, (0,))
 
 
 def test_construction_rejects_bad_inputs():

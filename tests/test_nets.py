@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
+from rednets.gfmat import is_prime
 from rednets.nets import (
     _numerators_digits,
     _numerators_xor,
@@ -78,6 +79,16 @@ def test_netspec_value_semantics_and_read_only_digits():
         net.digits = 1 - eye
     eye[0, 0, 0] = 0  # the net holds its own copy
     assert net.digits[0, 0, 0] == 1
+
+
+def test_netspec_base_is_a_prime_below_2_pow_63():
+    below = next(n for n in range(2**63 - 1, 2**63 - 100, -1) if is_prime(n))
+    above = next(n for n in range(2**63, 2**63 + 100) if is_prime(n))
+    net = rn.NetSpec(below, 1, np.array([[[below - 1]]], dtype=np.uint64))
+    assert net.digits.dtype == np.uint64
+    for base in (above, 2**89 - 1):
+        with pytest.raises(ValueError, match=r"prime below 2\^63"):
+            rn.NetSpec(base, 1, np.zeros((1, 1, 1), dtype=np.int64))
 
 
 def test_netspec_rejects_malformed_digits():
@@ -521,6 +532,29 @@ def test_read_net_rejects_malformed():
 def test_read_net_ignores_blank_lines():
     net = rn.read_net(io.StringIO("\n2 2 1\n\n1 0\n  \n0 1\n\n"))
     assert net.matrices[0] == rn.FieldMatrix.identity(2, 2)
+
+
+def write_csv_per_row(points, fh):
+    """Per-row formatting oracle for ``PointBlock.write_csv``."""
+    den = points.base**points.m
+    fh.write("k," + ",".join(f"x{j + 1}" for j in range(points.s)) + "\n")
+    for k in range(points.n_points):
+        row = ",".join(f"{int(v)}/{den}" for v in points.numerators[k])
+        fh.write(f"{k},{row}\n")
+
+
+@pytest.mark.parametrize("base, m, s", [(2, 12, 40), (3, 7, 5), (2, 3, 1)])
+@pytest.mark.parametrize("first_digits", [None, 2])
+def test_points_csv_matches_per_row_oracle(base, m, s, first_digits):
+    # (2, 12, 40) writes 4096 rows in several blocks of rows
+    net = rn.column_reduce(
+        rn.random_net(base, m, s, seed=11), rn.ReductionSchedule.floor_log(s, base, m)
+    )
+    pts = rn.generate_points(net, first_digits)
+    got, want = io.StringIO(), io.StringIO()
+    pts.write_csv(got)
+    write_csv_per_row(pts, want)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_points_csv_format():

@@ -1,13 +1,71 @@
 """Tests for the linear independence parameter and brute-force net checks."""
 
 import json
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
+from rednets.gfmat import rank_generic, stack_rows
 from rednets.quality import EnumerationBudgetError, compositions
+
+
+def cell_counts_ok(points, cols, depths, t):
+    """Oracle: every cell of the given digit depths holds exactly b^t points."""
+    b = points.base
+    m = points.m
+    n_cells = 1
+    key = np.zeros(points.n_points, dtype=np.int64)
+    for col, d in zip(cols, depths):
+        cell = points.numerators[:, col] // b ** (m - d)
+        key = key * b**d + cell
+        n_cells *= b**d
+    counts = np.bincount(key, minlength=n_cells)
+    return bool(np.all(counts == b**t))
+
+
+def strict_t_oracle(points, u):
+    cols = [j - 1 for j in u]
+    for t in range(points.m + 1):
+        if all(cell_counts_ok(points, cols, d, t) for d in compositions(points.m - t, len(u))):
+            return t
+
+
+def tmes_oracle(points, t, e):
+    cols = range(points.s)
+    shapes = (d for d in np.ndindex(*(points.m - t + 1 for _ in e))
+              if sum(ej * dj for ej, dj in zip(e, d)) == points.m - t)
+    return all(cell_counts_ok(points, cols, [ej * dj for ej, dj in zip(e, d)], t)
+               for d in shapes)
+
+
+def rho_oracle(net, u):
+    mats = [net.matrices[j - 1] for j in u]
+    for r in range(1, net.m + 1):
+        for d in compositions(r, len(u)):
+            if rank_generic(stack_rows(list(zip(mats, d)))) != r:
+                return r - 1
+    return net.m
+
+
+@st.composite
+def small_nets(draw, max_points=729, s_max=3):
+    """Random digital nets with b^m <= max_points, reduced by a random schedule."""
+    b = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, max(k for k in range(1, 11) if b**k <= max_points)))
+    s = draw(st.integers(1, s_max))
+    net = rn.random_net(b, m, s, seed=draw(st.integers(0, 2**32)))
+    w = sorted(draw(st.lists(st.integers(0, m), min_size=s - 1, max_size=s - 1)))
+    if draw(st.booleans()):
+        net = rn.column_reduce(net, rn.ReductionSchedule.explicit([0, *w]))
+    return net
+
+
+def subsets(s):
+    return [u for k in range(1, s + 1) for u in combinations(range(1, s + 1), k)]
 
 
 def reduced_pascal(m, w2):
@@ -51,6 +109,13 @@ def test_rho_respects_budget():
 def test_rho_rejects_empty_subset():
     with pytest.raises(ValueError):
         rn.rho(rn.pascal_net(2, 3, 2), ())
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_nets(s_max=4))
+def test_rho_matches_stacked_rank_oracle(net):
+    for u in subsets(net.s):
+        assert rn.rho(net, u) == rho_oracle(net, u)
 
 
 # --- theorem bounds --------------------------------------------------------
@@ -130,6 +195,14 @@ def test_verify_needs_full_block():
         rn.verify_tms_net(partial, 0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_nets())
+def test_strict_t_matches_cell_count_oracle(net):
+    pts = rn.generate_points(net)
+    for u in subsets(net.s):
+        assert rn.strict_t(pts, u) == strict_t_oracle(pts, u)
+
+
 # --- verify_tmes_net ---------------------------------------------------------
 
 
@@ -168,6 +241,16 @@ def test_tmes_validates_shape_vector():
         rn.verify_tmes_net(pts, 0, (0, 1))
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_nets(), st.data())
+def test_tmes_matches_cell_count_oracle(net, data):
+    pts = rn.generate_points(net)
+    e = tuple(data.draw(st.lists(st.integers(1, 3), min_size=net.s, max_size=net.s)))
+    for t in range(net.m + 1):
+        assert rn.verify_tmes_net(pts, t, e) == tmes_oracle(pts, t, e)
+        assert rn.verify_tms_net(pts, t) == tmes_oracle(pts, t, (1,) * net.s)
+
+
 # --- sandwich and consistency properties -------------------------------------
 
 
@@ -199,10 +282,10 @@ def test_theorem_sandwich_holds_per_projection(m):
             assert bounds.lower <= r <= bounds.upper, (m, w2, u)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 10**6))
-def test_strict_t_equals_m_minus_rho_for_digital_nets(m, s, seed):
-    net = rn.random_net(2, m, s, seed=seed)
+@settings(max_examples=40, deadline=None)
+@given(small_nets())
+def test_strict_t_equals_m_minus_rho_for_digital_nets(net):
+    m = net.m
     r = rn.rho(net)
     t = rn.strict_t(rn.generate_points(net))
     assert t <= m - r  # net property from the rank condition
