@@ -14,7 +14,6 @@ import statistics
 import sys
 import time
 from contextlib import contextmanager
-from itertools import combinations
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .product import (
 from .quality import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
+    _projection_t,
     analyze,
     rho,
     strict_t,
@@ -55,14 +55,9 @@ BENCH_CSV_FIELDS = (
 )
 
 
-def _budget() -> int:
-    raw = os.environ.get("REDNETS_ENUM_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
-
-
-def _bench_cap() -> int:
-    raw = os.environ.get("REDNETS_BENCH_CAP")
-    return int(raw) if raw else 1 << 26
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    return int(raw) if raw else default
 
 
 @contextmanager
@@ -93,13 +88,10 @@ def parse_schedule(spec: str, s: int, base: int, m: int) -> ReductionSchedule:
     raise ValueError(f"unknown schedule spec {spec!r}")
 
 
-def parse_subset(spec: str | None, s: int) -> tuple[int, ...] | None:
+def parse_subset(spec: str | None) -> tuple[int, ...] | None:
     if spec is None:
         return None
-    u = tuple(int(x) for x in spec.split(","))
-    if any(j < 1 or j > s for j in u):
-        raise ValueError(f"subset indices must lie in [1, {s}]")
-    return u
+    return tuple(int(x) for x in spec.split(","))
 
 
 def parse_transform(spec: str, base: int, m: int) -> Transform:
@@ -143,16 +135,17 @@ def _cmd_points(args: argparse.Namespace) -> int:
 
 def _cmd_rho(args: argparse.Namespace) -> int:
     net = _load_net(args.net)
-    u = parse_subset(args.u, net.s)
-    value = rho(net, u, budget=_budget())
+    u = parse_subset(args.u)
+    value = rho(net, u, budget=_env_int("REDNETS_ENUM_BUDGET", DEFAULT_BUDGET))
     print(f"rho = {value}")
     return 0
 
 
 def _cmd_tvalue(args: argparse.Namespace) -> int:
     net = _load_net(args.net)
-    u = parse_subset(args.u, net.s)
-    t = strict_t(generate_points(net), u, budget=_budget())
+    u = parse_subset(args.u)
+    budget = _env_int("REDNETS_ENUM_BUDGET", DEFAULT_BUDGET)
+    t = strict_t(generate_points(net), u, budget=budget)
     print(f"t = {t}")
     return 0
 
@@ -160,7 +153,8 @@ def _cmd_tvalue(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     net = _load_net(args.net)
     sched = parse_schedule(args.w, net.s, net.base, net.m)
-    report = analyze(net, sched, proj_cap=args.proj_cap, budget=_budget())
+    budget = _env_int("REDNETS_ENUM_BUDGET", DEFAULT_BUDGET)
+    report = analyze(net, sched, proj_cap=args.proj_cap, budget=budget)
     print(report.to_json())
     return 0
 
@@ -169,13 +163,9 @@ def _cmd_disc_bound(args: argparse.Namespace) -> int:
     net = _load_net(args.net)
     sched = parse_schedule(args.w, net.s, net.base, net.m)
     weights = WeightModel.parse(args.weights)
-    s_star = sched.s_star(net.m)
+    budget = _env_int("REDNETS_ENUM_BUDGET", DEFAULT_BUDGET)
     points = generate_points(net)
-    budget = _budget()
-    t_map = {}
-    for size in range(1, min(args.proj_cap, s_star) + 1):
-        for u in combinations(range(1, s_star + 1), size):
-            t_map[u] = strict_t(points, u, budget=budget)
+    t_map = _projection_t(points, sched.s_star(net.m), args.proj_cap, budget)
     bound = global_disc_bound(
         t_map, sched, weights, net.base, net.m, net.s,
         proj_cap=args.proj_cap, budget=budget,
@@ -258,14 +248,10 @@ def _bench_config(
 
     for algo in ("fast_column", "standard"):
         group = [r for r in rows if r["algo"] == algo]
-        med = dict(group[0])
-        med["rep"] = "median"
-        med["wall_ns"] = int(statistics.median(r["wall_ns"] for r in group))
-        if algo == "standard":
-            med["point_gen_ns"] = int(
-                statistics.median(r["point_gen_ns"] for r in group)
-            )
-            med["mult_ns"] = int(statistics.median(r["mult_ns"] for r in group))
+        med = dict(group[0], rep="median")
+        for key in ("wall_ns", "point_gen_ns", "mult_ns"):
+            if med[key] != "":
+                med[key] = int(statistics.median(r[key] for r in group))
         rows.append(med)
     return rows
 
@@ -275,7 +261,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("need at least 3 repetitions for a median")
     m_list = [int(x) for x in args.m_list.split(",")]
     s_list = [int(x) for x in args.s_list.split(",")]
-    cap = _bench_cap()
+    cap = _env_int("REDNETS_BENCH_CAP", 1 << 26)
     for m in m_list:
         for s in s_list:
             if args.b**m * s > cap:

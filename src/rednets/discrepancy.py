@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .nets import PointBlock, ReductionSchedule
-from .quality import DEFAULT_BUDGET, EnumerationBudgetError
+from .quality import DEFAULT_BUDGET, EnumerationBudgetError, _normalize_subset
 
 __all__ = [
     "GlobalBound",
@@ -142,6 +142,8 @@ def local_discrepancy(
     u = tuple(int(j) for j in u)
     if not u:
         raise ValueError("subset must be nonempty")
+    if any(not 1 <= j <= points.s for j in u):
+        raise ValueError(f"subset indices must lie in [1, {points.s}]")
     if len(x) != len(u):
         raise ValueError("x must have one entry per coordinate in u")
     if any(not 0.0 < xj <= 1.0 for xj in x):
@@ -182,11 +184,9 @@ def exact_star_discrepancy(
     All comparisons are integer-exact; cost and the budget are measured in
     grid corners, which grow as N^|u|, while memory grows as N^(|u|-1).
     """
-    if u is None:
-        u = tuple(range(1, points.s + 1))
-    u = tuple(sorted(set(int(j) for j in u)))
+    u = _normalize_subset(u, points.s)
     d = len(u)
-    if d < 1 or d > 3:
+    if d > 3:
         raise ValueError("exact star discrepancy supports 1 <= |u| <= 3")
     n_full = points.base**points.m
     if n_full > 4096:

@@ -20,6 +20,7 @@ from .nets import (
     NetSpec,
     PointBlock,
     ReductionSchedule,
+    column_reduce,
     coordinate_numerators,
 )
 
@@ -89,16 +90,13 @@ def norm_inverse(p: np.ndarray) -> np.ndarray:
         num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
         den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
         out[mid] = num * q / den
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        out[low] = num / den
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[high]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        out[high] = -num / den
+    # The high tail negates the low one at 1 - p; IEEE negation is exact.
+    for tail, r, sign in ((low, p[low], 1.0), (high, 1.0 - p[high], -1.0)):
+        if r.size:
+            q = np.sqrt(-2.0 * np.log(r))
+            num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
+            den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
+            out[tail] = sign * (num / den)
     return out
 
 
@@ -192,15 +190,12 @@ def _validate_reduced(net: NetSpec, sched: ReductionSchedule) -> None:
     """Reject nets whose zero-column pattern disagrees with the schedule."""
     if sched.s != net.s:
         raise ValueError("schedule length does not match net dimension")
-    m = net.m
-    zeroed = np.array([min(m, wj) for wj in sched.w])
-    declared = np.arange(m)[None, :] >= (m - zeroed)[:, None]
-    bad = np.argwhere((net.digits != 0) & declared[:, None, :])
+    bad = np.argwhere(net.digits != column_reduce(net, sched).digits)
     if bad.size:
         j, _, c = bad[0]
         raise ValueError(
-            f"matrix {j + 1} has a nonzero entry in column {c + 1}, "
-            f"but the schedule declares the last {zeroed[j]} columns zero"
+            f"matrix {j + 1} has a nonzero entry in column {c + 1}, but the "
+            f"schedule declares the last {min(net.m, sched.w[j])} columns zero"
         )
 
 

@@ -10,7 +10,6 @@ rho >= m - t, with equality for strict nets.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -46,23 +45,50 @@ class EnumerationBudgetError(RuntimeError):
     """Raised when a brute-force enumeration would exceed its work budget."""
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer tuples with the given sum, ascending lex.
+def compositions(total: int, steps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All tuples c with sum ``total`` and each c_j a multiple of steps[j].
 
-    Ascending lexicographic order puts the mass on the last coordinate
-    first, which is where failures concentrate for reduced nets, so searches
-    falsify early.
+    Ascending lexicographic order (Knuth, TAOCP 4A, 7.2.1.3) puts the mass
+    on the last coordinate first, which is where failures concentrate for
+    reduced nets, so searches falsify early.  The walk is iterative, so any
+    number of coordinates works, and it never enters a prefix that cannot
+    be completed, so its work follows the number of tuples.
     """
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    k = len(steps)
+    fits = [0] * k + [1]  # bit v <= total of fits[i]: some c[i:] sums to v
+    for i in range(k - 1, -1, -1):
+        fits[i], v = fits[i + 1], steps[i]
+        while v <= total:  # shifts by every multiple of steps[i] up to total
+            fits[i] |= fits[i] << v
+            v *= 2
+    c = [0] * k
+    i, rest = 0, total  # c[i:] must sum to rest; c[i] only grows until reset
+    while True:
+        if i < k - 1:
+            while c[i] <= rest and not fits[i + 1] >> (rest - c[i]) & 1:
+                c[i] += steps[i]
+            if c[i] <= rest:
+                rest -= c[i]
+                i += 1
+                continue
+        elif fits[i] >> rest & 1:  # the last entry takes the rest
+            c[i] = rest
+            yield tuple(c)
+        if i == 0:
+            return
+        c[i] = 0  # no value left for c[i]: reset it and grow c[i - 1]
+        i -= 1
+        rest += c[i]
+        c[i] += steps[i]
 
 
-def _n_compositions(total: int, parts: int) -> int:
-    return math.comb(total + parts - 1, parts - 1)
+def _n_compositions(total: int, steps: Sequence[int]) -> list[int]:
+    """Number of :func:`compositions` of every sum 0..total, exactly."""
+    ways = [1] + [0] * total
+    for step in steps:
+        for v in range(step, total + 1):
+            ways[v] += ways[v - step]
+    return ways
 
 
 def _normalize_subset(u: Sequence[int] | None, s: int) -> tuple[int, ...]:
@@ -89,16 +115,17 @@ def rho(
     indices in u are 1-based and default to all of them.
     """
     u = _normalize_subset(u, net.s)
-    k = len(u)
     m = net.m
-    work = sum(_n_compositions(r, k) * r * m for r in range(1, m + 1))
+    ones = (1,) * len(u)
+    counts = _n_compositions(m, ones)
+    work = sum(counts[r] * r * m for r in range(1, m + 1))
     if work > budget:
         raise EnumerationBudgetError(
             f"rho enumeration needs ~{work} work units, budget is {budget}"
         )
     rows = [_rank_form(net.digits[j - 1].tolist(), net.base) for j in u]
     for r in range(1, m + 1):
-        for d in compositions(r, k):
+        for d in compositions(r, ones):
             stacked = [row for mat, dj in zip(rows, d) for row in mat[:dj]]
             if _rank_rows(stacked, net.base) != r:
                 return r - 1
@@ -187,25 +214,27 @@ def _cells_balanced(
 def _tms_holds(
     points: PointBlock,
     t: int,
-    u: Sequence[int] | None,
+    cols: Sequence[int],
+    steps: Sequence[int],
     budget: int,
     lead: dict[tuple[int, int], np.ndarray],
 ) -> bool:
-    """:func:`verify_tms_net` with a leading-digit cache the caller keeps."""
+    """Cell check of the :func:`compositions` of m - t over ``cols``.
+
+    The shapes are counted against the budget before any is built.
+    """
     m = points.m
     if not 0 <= t <= m:
         raise ValueError("need 0 <= t <= m")
     if points.n_points != points.base**m:
         raise ValueError("verification needs the full b^m-point block")
-    u = _normalize_subset(u, points.s)
-    k = len(u)
-    n_shapes = _n_compositions(m - t, k)
+    n_shapes = _n_compositions(m - t, steps)[m - t]
     if n_shapes * points.n_points > budget:
         raise EnumerationBudgetError(
             f"{n_shapes} interval shapes x {points.n_points} points "
             f"exceeds budget {budget}"
         )
-    return _cells_balanced(points, [j - 1 for j in u], compositions(m - t, k), t, lead)
+    return _cells_balanced(points, cols, compositions(m - t, steps), t, lead)
 
 
 def verify_tms_net(
@@ -221,7 +250,8 @@ def verify_tms_net(
     of u contains exactly b^t points.  Cell membership is decided on integer
     numerators, so the test is exact.
     """
-    return _tms_holds(points, t, u, budget, {})
+    u = _normalize_subset(u, points.s)
+    return _tms_holds(points, t, [j - 1 for j in u], (1,) * len(u), budget, {})
 
 
 def strict_t(
@@ -231,9 +261,11 @@ def strict_t(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Smallest t for which the net property holds (scan t = 0, 1, ..., m)."""
+    u = _normalize_subset(u, points.s)
+    cols, ones = [j - 1 for j in u], (1,) * len(u)
     lead: dict[tuple[int, int], np.ndarray] = {}
     for t in range(points.m + 1):
-        if _tms_holds(points, t, u, budget, lead):
+        if _tms_holds(points, t, cols, ones, budget, lead):
             return t
     raise AssertionError("t = m always verifies; unreachable")
 
@@ -250,34 +282,23 @@ def verify_tmes_net(
     Only solutions of e_1 d_1 + ... + e_s d_s = m - t are admissible shapes;
     when no solution exists the check is vacuously true.
     """
-    m = points.m
-    if not 0 <= t <= m:
-        raise ValueError("need 0 <= t <= m")
-    if points.n_points != points.base**m:
-        raise ValueError("verification needs the full b^m-point block")
     e = tuple(int(x) for x in e)
     if len(e) != points.s:
         raise ValueError("shape vector length must equal the dimension")
     if any(ej < 1 for ej in e):
         raise ValueError("shape entries must be >= 1")
+    return _tms_holds(points, t, range(points.s), e, budget, {})
 
-    def solutions(remaining: int, idx: int) -> Iterator[tuple[int, ...]]:
-        if idx == len(e) - 1:
-            if remaining % e[idx] == 0:
-                yield (remaining // e[idx],)
-            return
-        for d in range(remaining // e[idx] + 1):
-            for tail in solutions(remaining - d * e[idx], idx + 1):
-                yield (d,) + tail
 
-    sols = list(solutions(m - t, 0))
-    if len(sols) * points.n_points > budget:
-        raise EnumerationBudgetError(
-            f"{len(sols)} interval shapes x {points.n_points} points "
-            f"exceeds budget {budget}"
-        )
-    shapes = ([ej * dj for ej, dj in zip(e, d)] for d in sols)
-    return _cells_balanced(points, range(points.s), shapes, t, {})
+def _projection_t(
+    points: PointBlock, n_coords: int, cap: int, budget: int
+) -> dict[tuple[int, ...], int]:
+    """strict_t of every subset of 1..n_coords with at most ``cap`` members."""
+    return {
+        u: strict_t(points, u, budget=budget)
+        for size in range(1, min(cap, n_coords) + 1)
+        for u in combinations(range(1, n_coords + 1), size)
+    }
 
 
 @dataclass(frozen=True)
@@ -356,15 +377,12 @@ def analyze(
         raise AssertionError("rho < m - t contradicts the net property")
 
     projections: dict[tuple[int, ...], ProjectionQuality] = {}
-    for size in range(1, min(proj_cap, net.s) + 1):
-        for u in combinations(range(1, net.s + 1), size):
-            t_u = strict_t(base_points, u, budget=budget)
-            b_u = theorem_bounds(t_u, net.m, sched, u)
-            projections[u] = ProjectionQuality(
-                rho=rho(reduced, u, budget=budget),
-                t_exact=strict_t(red_points, u, budget=budget),
-                t_upper=b_u.t_upper,
-            )
+    for u, t_u in _projection_t(base_points, net.s, proj_cap, budget).items():
+        projections[u] = ProjectionQuality(
+            rho=rho(reduced, u, budget=budget),
+            t_exact=strict_t(red_points, u, budget=budget),
+            t_upper=theorem_bounds(t_u, net.m, sched, u).t_upper,
+        )
     return QualityReport(
         base=net.base,
         m=net.m,

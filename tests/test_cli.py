@@ -2,6 +2,7 @@
 
 import io
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -206,6 +207,12 @@ def test_bench_csv_schema_and_predictions(tmp_path, capsys):
             assert r["point_gen_ns"] == "" and r["mult_ns"] == ""
     medians = [r for r in rows if r["rep"] == "median"]
     assert len(medians) == 4
+    for med in medians:
+        reps = [r for r in rows if r["rep"] != "median" and r["algo"] == med["algo"]
+                and r["s"] == med["s"]]
+        for key in ("wall_ns", "point_gen_ns", "mult_ns"):
+            if med[key]:
+                assert int(med[key]) == int(statistics.median(int(r[key]) for r in reps))
 
 
 def test_bench_memory_guard(tmp_path, capsys, monkeypatch):
@@ -260,6 +267,15 @@ def test_determinism_same_seed_same_bytes(tmp_path, capsys):
         store["prod"] = prod.read_bytes()
         store["report"] = report
     assert first == second
+
+
+def test_rho_on_more_coordinates_than_the_recursion_limit(tmp_path, capsys):
+    net = tmp_path / "net.txt"
+    code, _, _ = run(capsys, "gen", "--b", "2", "--m", "2", "--s", "1200",
+                     "--source", "random", "--seed", "1", "--out", str(net))
+    assert code == 0
+    code, out, err = run(capsys, "rho", "--net", str(net))
+    assert (code, out, err) == (0, "rho = 0\n", "")
 
 
 def test_rho_on_a_net_with_a_huge_prime_base_exits_at_once(tmp_path):

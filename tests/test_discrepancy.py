@@ -117,7 +117,21 @@ def test_local_discrepancy_validates_x():
         rn.local_discrepancy(pts, (), ())
 
 
+@pytest.mark.parametrize("u", [(0,), (4,), (1, 4)])
+def test_local_discrepancy_rejects_indices_outside_the_dimension(u):
+    pts = rn.generate_points(rn.pascal_net(2, 4, 3))
+    with pytest.raises(ValueError, match=r"subset indices must lie in \[1, 3\]"):
+        rn.local_discrepancy(pts, u, [0.5] * len(u))
+
+
 # --- exact star discrepancy -------------------------------------------------------
+
+
+@pytest.mark.parametrize("u", [(0,), (4,), (1, 4)])
+def test_star_disc_rejects_indices_outside_the_dimension(u):
+    pts = rn.generate_points(rn.pascal_net(2, 4, 3))
+    with pytest.raises(ValueError, match=r"subset indices must lie in \[1, 3\]"):
+        rn.exact_star_discrepancy(pts, u)
 
 
 def test_star_disc_single_point_at_zero():

@@ -9,6 +9,11 @@ import scipy.stats
 
 import rednets as rn
 from rednets.product import (
+    _A,
+    _B,
+    _C,
+    _D,
+    _P_LOW,
     read_matrix_csv,
     read_product_bin,
     write_product_bin,
@@ -51,6 +56,39 @@ def test_norm_inverse_symmetry_and_median():
     assert rn.norm_inverse(np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-12)
     p = np.array([0.01, 0.2, 0.4])
     assert np.allclose(rn.norm_inverse(p), -rn.norm_inverse(1 - p), atol=1e-9)
+
+
+def two_branch_norm_inverse(p):
+    """Oracle: Acklam's formula with the low and high tails written out."""
+    out = np.empty_like(p)
+    low = p < _P_LOW
+    high = p > 1.0 - _P_LOW
+    mid = ~(low | high)
+    q = p[mid] - 0.5
+    r = q * q
+    num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
+    den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
+    out[mid] = num * q / den
+    q = np.sqrt(-2.0 * np.log(p[low]))
+    num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
+    den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
+    out[low] = num / den
+    q = np.sqrt(-2.0 * np.log(1.0 - p[high]))
+    num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
+    den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
+    out[high] = -num / den
+    return out
+
+
+@pytest.mark.parametrize("b,m", [(2, 12), (3, 8), (5, 5), (7, 4), (None, None)])
+def test_norm_inverse_bits_match_two_branch_oracle(b, m):
+    if b is None:
+        p = np.linspace(1e-15, 1 - 1e-15, 100_001)
+    else:
+        p = np.arange(b**m) / b**m + rn.Transform.normal_inverse_for(b, m).shift
+    assert (p < _P_LOW).any() and (p > 1.0 - _P_LOW).any()
+    got = rn.norm_inverse(p)
+    assert np.array_equal(got.view(np.uint64), two_branch_norm_inverse(p).view(np.uint64))
 
 
 def test_norm_inverse_rejects_out_of_range():

@@ -1,7 +1,12 @@
 """Tests for the linear independence parameter and brute-force net checks."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,19 @@ from hypothesis import strategies as st
 
 import rednets as rn
 from rednets.gfmat import rank_generic, stack_rows
-from rednets.quality import EnumerationBudgetError, compositions
+from rednets.quality import EnumerationBudgetError, _n_compositions, compositions
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def recursive_compositions(total, parts):
+    """Oracle: nonnegative integer tuples with the given sum, ascending lex."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in recursive_compositions(total - head, parts - 1):
+            yield (head,) + tail
 
 
 def cell_counts_ok(points, cols, depths, t):
@@ -30,7 +47,8 @@ def cell_counts_ok(points, cols, depths, t):
 def strict_t_oracle(points, u):
     cols = [j - 1 for j in u]
     for t in range(points.m + 1):
-        if all(cell_counts_ok(points, cols, d, t) for d in compositions(points.m - t, len(u))):
+        shapes = recursive_compositions(points.m - t, len(u))
+        if all(cell_counts_ok(points, cols, d, t) for d in shapes):
             return t
 
 
@@ -45,7 +63,7 @@ def tmes_oracle(points, t, e):
 def rho_oracle(net, u):
     mats = [net.matrices[j - 1] for j in u]
     for r in range(1, net.m + 1):
-        for d in compositions(r, len(u)):
+        for d in recursive_compositions(r, len(u)):
             if rank_generic(stack_rows(list(zip(mats, d)))) != r:
                 return r - 1
     return net.m
@@ -78,9 +96,36 @@ def reduced_pascal(m, w2):
 
 
 def test_compositions_order_loads_last_coordinate_first():
-    got = list(compositions(2, 2))
+    got = list(compositions(2, (1, 1)))
     assert got == [(0, 2), (1, 1), (2, 0)]
-    assert sum(1 for _ in compositions(5, 3)) == 21
+    assert sum(1 for _ in compositions(5, (1, 1, 1))) == 21
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_compositions_match_recursive_oracle(k):
+    for total in range(9):
+        assert list(compositions(total, (1,) * k)) == list(recursive_compositions(total, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=5), st.integers(0, 9))
+def test_compositions_with_steps_match_ndindex_filter(steps, total):
+    grid = np.ndindex(*(total // e + 1 for e in steps))
+    shapes = (tuple(e * dj for e, dj in zip(steps, d)) for d in grid)
+    want = [c for c in shapes if sum(c) == total]
+    assert list(compositions(total, steps)) == want
+    counts = _n_compositions(total, steps)
+    assert len(counts) == total + 1
+    for r in range(total + 1):
+        assert counts[r] == len(list(compositions(r, steps)))
+
+
+def test_rho_and_strict_t_run_past_the_recursion_limit():
+    # 1200 coordinates exceed Python's default recursion limit of 1000.
+    net = rn.random_net(2, 2, 1200, seed=1)
+    assert (net.digits[:, 0, :] == 0).all(axis=1).any()  # a zero first row
+    assert rn.rho(net) == 0
+    assert rn.strict_t(rn.generate_points(net)) == 2  # m - rho
 
 
 # --- rho -------------------------------------------------------------------
@@ -104,6 +149,15 @@ def test_rho_respects_budget():
     net = rn.random_net(2, 10, 8, seed=0)
     with pytest.raises(EnumerationBudgetError):
         rn.rho(net, budget=100)
+
+
+def test_rho_budget_is_exact_sum_of_compositions_times_rows():
+    # sum over r of C(r + k - 1, k - 1) * r * m work units, m = 4, k = 3
+    net = rn.pascal_net(2, 4, 3)
+    work = sum(math.comb(r + 2, 2) * r * 4 for r in range(1, 5))
+    assert rn.rho(net, budget=work) == rho_oracle(net, (1, 2, 3))
+    with pytest.raises(EnumerationBudgetError, match=f"needs ~{work} work units"):
+        rn.rho(net, budget=work - 1)
 
 
 def test_rho_rejects_empty_subset():
@@ -188,6 +242,18 @@ def test_verify_budget_guard():
         rn.verify_tms_net(pts, 0, budget=10)
 
 
+@pytest.mark.parametrize("t", [0, 2])
+def test_verify_budget_is_exact_shapes_times_points(t):
+    pts = rn.generate_points(rn.random_net(3, 4, 3, seed=2))
+    need = math.comb(4 - t + 2, 2) * 81
+    rn.verify_tms_net(pts, t, budget=need)
+    rn.verify_tmes_net(pts, t, (1, 1, 1), budget=need)
+    with pytest.raises(EnumerationBudgetError, match=f"exceeds budget {need - 1}$"):
+        rn.verify_tms_net(pts, t, budget=need - 1)
+    with pytest.raises(EnumerationBudgetError, match=f"exceeds budget {need - 1}$"):
+        rn.verify_tmes_net(pts, t, (1, 1, 1), budget=need - 1)
+
+
 def test_verify_needs_full_block():
     net = rn.pascal_net(2, 4, 2)
     partial = rn.generate_points(net, first_digits=2)
@@ -231,6 +297,39 @@ def test_tmes_vacuous_when_no_solutions():
     pts = rn.generate_points(red)
     # 5 d1 + 7 d2 = 4 has no nonnegative solutions
     assert rn.verify_tmes_net(pts, 0, (5, 7))
+
+
+def run_snippet(code):
+    """Run code in a child process with a 30 s timeout; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import rednets as rn\n" + code],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_tmes_budget_counts_shapes_before_building_them():
+    # C(205, 6) = 95746959700 shapes: listing them first would not finish.
+    out = run_snippet(
+        "pts = rn.generate_points(rn.random_net(2, 6, 200, 2))\n"
+        "try:\n"
+        "    rn.verify_tmes_net(pts, 0, (1,) * 200, budget=10**6)\n"
+        "except rn.EnumerationBudgetError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out == "95746959700 interval shapes x 64 points exceeds budget 1000000"
+
+
+def test_tmes_without_solutions_skips_prefixes_that_cannot_complete():
+    # 2 d_1 + ... + 2 d_200 = 9 has no solution; a walk that tested only the
+    # last entry would visit C(203, 4) = 68685050 dead prefixes.
+    out = run_snippet(
+        "pts = rn.generate_points(rn.random_net(2, 9, 200, 3))\n"
+        "print(rn.verify_tmes_net(pts, 0, (2,) * 200))\n"
+    )
+    assert out == "True"
 
 
 def test_tmes_validates_shape_vector():
