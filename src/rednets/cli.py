@@ -107,10 +107,8 @@ def parse_transform(spec: str, base: int, m: int) -> Transform:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.source == "pascal":
         net = pascal_net(args.b, args.m, args.s)
-    elif args.source == "random":
-        net = random_net(args.b, args.m, args.s, args.seed)
     else:
-        raise ValueError(f"unknown source {args.source!r}")
+        net = random_net(args.b, args.m, args.s, args.seed)
     with _out_stream(args.out) as fh:
         write_net(net, fh)
     return 0
@@ -189,11 +187,9 @@ def _cmd_product(args: argparse.Namespace) -> int:
             raise ValueError("--algo fast requires --w")
         sched = parse_schedule(args.w, net.s, net.base, net.m)
         p = fast_reduced_product(net, sched, a, transform)
-    elif args.algo == "standard":
+    else:
         points = generate_points(net)
         p = standard_product(points, a, transform)
-    else:
-        raise ValueError(f"unknown algo {args.algo!r}")
     if args.bin:
         with _out_stream(args.out, binary=True) as fh:
             write_product_bin(p, fh)

@@ -85,7 +85,7 @@ class NetSpec:
 
     @functools.cached_property
     def matrices(self) -> tuple[FieldMatrix, ...]:
-        """The matrices as ``FieldMatrix`` values, for the rank code and oracles."""
+        """The matrices as ``FieldMatrix`` values, for the scalar oracles."""
         b, m, flat = self.base, self.m, self.digits.reshape(self.s, -1).tolist()
         return tuple(FieldMatrix(b, m, m, tuple(ent)) for ent in flat)
 
@@ -126,8 +126,6 @@ class ReductionSchedule:
         for a, b in zip(self.w, self.w[1:]):
             if b < a:
                 raise ValueError("reduction indices must be nondecreasing")
-        if any(x < 0 for x in self.w):
-            raise ValueError("reduction indices must be nonnegative")
 
     @property
     def s(self) -> int:
@@ -235,21 +233,26 @@ def _uniform_digits(seed: int, count: int, base: int, limit: int) -> np.ndarray:
 
 
 def pascal_net(base: int, m: int, s: int) -> NetSpec:
-    """Net generated by powers of the upper-triangular binomial matrix.
+    """Net generated by powers of the upper-triangular binomial matrix P.
 
-    The first matrix is the identity, the second has entries
-    binom(r-1, i-1) mod base at row i, column r, and coordinate j uses the
-    (j-1)-th power of that matrix.  The quality claim t = 0 is only attached
-    for base 2 with s <= 2.
+    P has entry binom(r, i) mod base at 0-based row i, column r, and
+    coordinate j uses P^(j-1) (the identity for j = 1).  By the binomial
+    theorem, (P^k)[i, r] = binom(r, i) k^(r-i) mod base with 0^0 = 1, so
+    the entries are filled in exact integers without matrix products.  The
+    quality claim t = 0 is only attached for base 2 with s <= 2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if s < 1:
         raise ValueError("s must be >= 1")
-    ent = tuple(math.comb(r, i) % base for i in range(m) for r in range(m))
-    matrices = tuple(FieldMatrix(base, m, m, ent).matpow(j) for j in range(s))
+    _check_base(base)
+    digits = [
+        [[math.comb(r, i) * pow(k, r - i, base) % base if r >= i else 0
+          for r in range(m)] for i in range(m)]
+        for k in range(s)
+    ]
     t = 0 if (base == 2 and s <= 2) else None
-    return NetSpec.from_matrices(base, m, matrices, declared_t=t, provenance="pascal")
+    return NetSpec(base, m, np.array(digits), declared_t=t, provenance="pascal")
 
 
 def random_net(base: int, m: int, s: int, seed: int) -> NetSpec:
@@ -262,22 +265,23 @@ def random_net(base: int, m: int, s: int, seed: int) -> NetSpec:
     return NetSpec(base, m, digits.reshape(s, m, m), provenance=f"random(seed={seed})")
 
 
-def _kept(net: NetSpec, sched: ReductionSchedule) -> np.ndarray:
-    """m - min(m, w_j) as an (s, 1, 1) array."""
+def _kept_columns(net: NetSpec, sched: ReductionSchedule) -> np.ndarray:
+    """(s, 1, m) mask of the first m - min(m, w_j) columns of each matrix."""
     if sched.s != net.s:
         raise ValueError(f"schedule length {sched.s} != net dimension {net.s}")
-    return np.array([net.m - min(net.m, wj) for wj in sched.w])[:, None, None]
+    kept = np.array([net.m - min(net.m, wj) for wj in sched.w])
+    return np.arange(net.m) < kept[:, None, None]
 
 
 def column_reduce(net: NetSpec, sched: ReductionSchedule) -> NetSpec:
     """Zero the last min(m, w_j) columns of each generating matrix."""
-    keep = np.arange(net.m) < _kept(net, sched)
+    keep = _kept_columns(net, sched)
     return NetSpec(net.base, net.m, np.where(keep, net.digits, 0))
 
 
 def row_reduce(net: NetSpec, sched: ReductionSchedule) -> NetSpec:
     """Zero the last min(m, w_j) rows instead; comparison utility only."""
-    keep = np.arange(net.m)[:, None] < _kept(net, sched)
+    keep = _kept_columns(net, sched).transpose(0, 2, 1)
     return NetSpec(net.base, net.m, np.where(keep, net.digits, 0))
 
 
@@ -294,13 +298,12 @@ def prepend_zero_columns_seq(
         raise ValueError("need 0 <= t <= m")
     if d2.base != d1.base:
         raise ValueError("base mismatch")
-    matrices = []
-    for d in (d1, d2):
+    digits = np.zeros((2, m, m), dtype=np.int64)
+    for c, d in zip(digits, (d1, d2)):
         if d.n_rows < m or d.n_cols < m:
             raise ValueError(f"input matrices must be at least {m}x{m}")
-        ent = (d.at(i, j - t) if j >= t else 0 for i in range(m) for j in range(m))
-        matrices.append(FieldMatrix(d.base, m, m, tuple(ent)))
-    return NetSpec.from_matrices(d1.base, m, matrices, declared_t=t)
+        c[:, t:] = np.reshape(d.entries, (d.n_rows, d.n_cols))[:m, : m - t]
+    return NetSpec(d1.base, m, digits, declared_t=t)
 
 
 def block_diag_seq(d2: FieldMatrix, t: int, m: int) -> FieldMatrix:
@@ -314,16 +317,11 @@ def block_diag_seq(d2: FieldMatrix, t: int, m: int) -> FieldMatrix:
         raise ValueError("need 0 <= t <= m")
     if d2.n_rows < max(t, m - t) or d2.n_cols < max(t, m - t):
         raise ValueError("input matrix too small for the requested blocks")
-    ent = []
-    for i in range(m):
-        for j in range(m):
-            if i < t and j < t:
-                ent.append(d2.at(i, j))
-            elif i >= t and j >= t:
-                ent.append(d2.at(i - t, j - t))
-            else:
-                ent.append(0)
-    return FieldMatrix(d2.base, m, m, tuple(ent))
+    d = np.reshape(d2.entries, (d2.n_rows, d2.n_cols))
+    out = np.zeros((m, m), dtype=np.int64)
+    out[:t, :t] = d[:t, :t]
+    out[t:, t:] = d[: m - t, : m - t]
+    return FieldMatrix(d2.base, m, m, tuple(out.ravel().tolist()))
 
 
 def coordinate_numerators(digits: np.ndarray, base: int, n_digits: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from .nets import (
     NetSpec,
     PointBlock,
     ReductionSchedule,
-    column_reduce,
+    _kept_columns,
     coordinate_numerators,
 )
 
@@ -188,9 +188,7 @@ def standard_product(
 
 def _validate_reduced(net: NetSpec, sched: ReductionSchedule) -> None:
     """Reject nets whose zero-column pattern disagrees with the schedule."""
-    if sched.s != net.s:
-        raise ValueError("schedule length does not match net dimension")
-    bad = np.argwhere(net.digits != column_reduce(net, sched).digits)
+    bad = np.argwhere((net.digits != 0) & ~_kept_columns(net, sched))
     if bad.size:
         j, _, c = bad[0]
         raise ValueError(
@@ -241,8 +239,6 @@ def fast_reduced_product(
         for j in range(hi, lo, -1):
             p += grid[nums[:, j - lo - 1], None] * a[j - 1, None, :]
         hi = lo
-    if p.shape[0] != b**m:
-        p = np.tile(p, (b**m // p.shape[0], 1))
     return p
 
 

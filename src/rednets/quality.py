@@ -10,6 +10,7 @@ rho >= m - t, with equality for strict nets.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -293,10 +294,17 @@ def verify_tmes_net(
 def _projection_t(
     points: PointBlock, n_coords: int, cap: int, budget: int
 ) -> dict[tuple[int, ...], int]:
-    """strict_t of every subset of 1..n_coords with at most ``cap`` members."""
+    """strict_t of every subset of 1..n_coords with at most ``cap`` members.
+
+    The subsets are counted against the budget before any is checked.
+    """
+    sizes = range(1, min(cap, n_coords) + 1)
+    count = sum(math.comb(n_coords, size) for size in sizes)
+    if count > budget:
+        raise EnumerationBudgetError(f"{count} projections exceed budget {budget}")
     return {
         u: strict_t(points, u, budget=budget)
-        for size in range(1, min(cap, n_coords) + 1)
+        for size in sizes
         for u in combinations(range(1, n_coords + 1), size)
     }
 

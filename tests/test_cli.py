@@ -12,6 +12,7 @@ import pytest
 
 import rednets as rn
 from rednets.cli import BENCH_CSV_FIELDS, main, parse_schedule
+from rednets.product import write_product_bin, write_product_csv
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -179,6 +180,64 @@ def test_exit_code_3_on_budget_exhaustion(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "tvalue", "--net", str(net))
     assert code == 3
     assert err.startswith("error:")
+
+
+def test_disc_bound_counts_projections_before_checking_them(tmp_path):
+    # s* = 255 and cap 4 give 174825280 subsets: checking them would not finish
+    net = tmp_path / "net.txt"
+    with open(net, "w") as fh:
+        rn.write_net(rn.random_net(2, 8, 300, seed=1), fh)
+    env = {k: v for k, v in os.environ.items() if k != "REDNETS_ENUM_BUDGET"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rednets.cli", "disc-bound", "--net", str(net),
+         "--w", "log", "--weights", "poly:2", "--proj-cap", "4"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "error: 174825280 projections exceed budget 10000000\n"
+
+
+def test_disc_bound_projection_gate_is_exact(tmp_path, capsys, monkeypatch):
+    # 8 + 28 = 36 subsets of size <= 2; each strict_t needs at most 3 x 4 cells
+    net = tmp_path / "net.txt"
+    run(capsys, "gen", "--b", "2", "--m", "2", "--s", "8", "--source", "random",
+        "--out", str(net))
+    argv = ("disc-bound", "--net", str(net), "--w", "explicit:0,0,0,0,0,0,0,0",
+            "--weights", "poly:2", "--proj-cap", "2")
+    monkeypatch.setenv("REDNETS_ENUM_BUDGET", "36")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "bound = " in out
+    monkeypatch.setenv("REDNETS_ENUM_BUDGET", "35")
+    assert run(capsys, *argv) == (3, "", "error: 36 projections exceed budget 35\n")
+
+
+def test_product_norminv_shift_spec_matches_library(tmp_path, capsys):
+    sched = rn.ReductionSchedule.floor_log(5, 3, 4)
+    net = rn.column_reduce(rn.random_net(3, 4, 5, seed=2), sched)
+    path, a_path = tmp_path / "net.txt", tmp_path / "a.csv"
+    with open(path, "w") as fh:
+        rn.write_net(net, fh)
+    a = np.random.default_rng(3).standard_normal((5, 3))
+    a_path.write_text("".join(",".join(map(repr, row)) + "\n" for row in a.tolist()))
+    tr = rn.Transform.normal_inverse(0.001)
+    common = ("product", "--net", str(path), "--a", str(a_path),
+              "--transform", "norminv:0.001")
+
+    code, out, _ = run(capsys, *common, "--algo", "fast", "--w", "log")
+    buf = io.StringIO()
+    write_product_csv(rn.fast_reduced_product(net, sched, a, tr), buf)
+    assert (code, out) == (0, buf.getvalue())
+
+    out_bin = tmp_path / "p.bin"
+    code, _, _ = run(capsys, *common, "--algo", "standard", "--bin", "--out", str(out_bin))
+    buf = io.BytesIO()
+    write_product_bin(rn.standard_product(rn.generate_points(net), a, tr), buf)
+    assert code == 0 and out_bin.read_bytes() == buf.getvalue()
+
+    code, _, err = run(capsys, "product", "--net", str(path), "--a", str(a_path),
+                       "--algo", "fast", "--w", "log", "--transform", "norminv:0")
+    assert code == 2 and err == "error: norminv needs a positive right shift\n"
 
 
 def test_bench_csv_schema_and_predictions(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -159,9 +160,45 @@ def test_pascal_net_higher_s_uses_matrix_powers():
     assert net.declared_t is None
 
 
+def pascal_oracle(base, m, s):
+    """Pascal net from FieldMatrix powers of the binomial matrix; test oracle."""
+    ent = tuple(math.comb(r, i) % base for i in range(m) for r in range(m))
+    mats = tuple(rn.FieldMatrix(base, m, m, ent).matpow(j) for j in range(s))
+    return rn.NetSpec.from_matrices(base, m, mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 131, 2**61 - 1]),
+       st.integers(1, 8), st.integers(1, 12))
+def test_pascal_net_matches_matrix_power_oracle(base, m, s):
+    net = rn.pascal_net(base, m, s)
+    oracle = pascal_oracle(base, m, s)
+    assert net.digits.dtype == oracle.digits.dtype
+    assert np.array_equal(net.digits, oracle.digits)
+    assert net.declared_t == (0 if base == 2 and s <= 2 else None)
+    assert net.provenance == "pascal"
+
+
+@pytest.mark.parametrize("args,digest", [
+    ((2, 12, 800), "7de1e9f729ba21bbc5f3b3442cee5eeb08a46f1257de6d8f88fac8eb18ba170c"),
+    ((3, 8, 400), "9d88d10a7e2990d2727f19f021d088fc2437a580fbeac839ef40126ea051ed6f"),
+])
+def test_pascal_net_file_bytes_are_pinned(args, digest):
+    # sha256 of the files written by the matrix-power construction
+    buf = io.StringIO()
+    rn.write_net(rn.pascal_net(*args), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
 def test_pascal_net_rejects_bad_m():
     with pytest.raises(ValueError):
         rn.pascal_net(2, 0, 2)
+
+
+@pytest.mark.parametrize("base", [0, 1, 4])
+def test_pascal_net_rejects_bad_base(base):
+    with pytest.raises(ValueError, match="base must be a prime"):
+        rn.pascal_net(base, 2, 3)
 
 
 # --- random_net ------------------------------------------------------------
@@ -272,6 +309,10 @@ def test_reduce_rejects_bad_schedule():
         rn.ReductionSchedule.explicit([0, 2, 1])
     with pytest.raises(ValueError):
         rn.ReductionSchedule.explicit([1, 2])
+    with pytest.raises(ValueError):  # w_1 = 0 and nondecreasing imply w >= 0
+        rn.ReductionSchedule.explicit([0, -1])
+    with pytest.raises(ValueError):
+        rn.row_reduce(net, rn.ReductionSchedule.explicit([0]))
 
 
 @settings(max_examples=40)
@@ -360,6 +401,43 @@ def test_block_diag_t2_m5():
         for j in range(2, 5):
             assert e2.at(i, j) == 0
             assert e2.at(j, i) == 0
+
+
+def prepend_oracle(d1, d2, t, m):
+    """prepend_zero_columns_seq entry by entry; test oracle."""
+    mats = [
+        rn.FieldMatrix(d.base, m, m, tuple(
+            d.at(i, j - t) if j >= t else 0 for i in range(m) for j in range(m)
+        ))
+        for d in (d1, d2)
+    ]
+    return rn.NetSpec.from_matrices(d1.base, m, mats, declared_t=t)
+
+
+def block_diag_oracle(d2, t, m):
+    """block_diag_seq entry by entry; test oracle."""
+    ent = (
+        d2.at(i, j) if i < t and j < t
+        else d2.at(i - t, j - t) if i >= t and j >= t
+        else 0
+        for i in range(m) for j in range(m)
+    )
+    return rn.FieldMatrix(d2.base, m, m, tuple(ent))
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_sharpness_constructions_match_per_entry_oracles(base):
+    rng = np.random.default_rng(base)
+    for m in range(1, 7):
+        # inputs larger than m x m and not square, so slicing picks the block
+        d1, d2 = (
+            rn.FieldMatrix(base, m + 2, m + 3,
+                           tuple(rng.integers(0, base, (m + 2) * (m + 3)).tolist()))
+            for _ in range(2)
+        )
+        for t in range(m + 1):
+            assert rn.prepend_zero_columns_seq(d1, d2, t, m) == prepend_oracle(d1, d2, t, m)
+            assert rn.block_diag_seq(d2, t, m) == block_diag_oracle(d2, t, m)
 
 
 # --- point generation ------------------------------------------------------

@@ -219,6 +219,13 @@ def test_fast_rejects_schedule_marix_mismatch():
         rn.fast_reduced_product(net, sched, a)  # net was never reduced
 
 
+def test_fast_rejects_schedule_of_wrong_length():
+    net = rn.column_reduce(rn.random_net(2, 4, 2, seed=6), rn.ReductionSchedule.explicit([0, 2]))
+    for w in ([0], [0, 2, 2]):
+        with pytest.raises(ValueError, match="schedule length"):
+            rn.fast_reduced_product(net, rn.ReductionSchedule.explicit(w), np.zeros((2, 1)))
+
+
 def test_fast_rejection_names_first_offending_matrix_and_column():
     # matrix 2 breaks its declared-zero columns 3 and 4 at (row 1, column 4)
     # and (row 2, column 3), matrix 3 at every row; the first entry in
