@@ -20,6 +20,10 @@ import numpy as np
 
 from .gfmat import FieldMatrix, _check_base, mat_vec
 
+# Largest point or product block, in entries, that any routine allocates
+# (2 GiB of int64); larger requests fail with a ValueError up front.
+_MAX_ENTRIES = 1 << 28
+
 __all__ = [
     "NetSpec",
     "PointBlock",
@@ -164,14 +168,18 @@ class ReductionSchedule:
 
 @dataclass(frozen=True)
 class PointBlock:
-    """N x s block of points stored as integer numerators over b^m."""
+    """N x s block of points stored as integer numerators over b^m.
+
+    The numerators keep the memory order they are given in; the point
+    kernel's blocks are column-major, one contiguous array per coordinate.
+    """
 
     base: int
     m: int
     numerators: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        nums = np.ascontiguousarray(self.numerators, dtype=np.int64)
+        nums = np.asarray(self.numerators, dtype=np.int64)
         if nums.ndim != 2:
             raise ValueError("numerators must be a 2-d array")
         if nums.size and (nums.min() < 0 or nums.max() >= self.base**self.m):
@@ -261,6 +269,7 @@ def random_net(base: int, m: int, s: int, seed: int) -> NetSpec:
     Entries come from a SplitMix64 stream reduced by rejection sampling, so
     the same (base, m, s, seed) reproduces the same net anywhere.
     """
+    _check_base(base)
     digits = _uniform_digits(seed, s * m * m, base, (1 << 64) - (1 << 64) % base)
     return NetSpec(base, m, digits.reshape(s, m, m), provenance=f"random(seed={seed})")
 
@@ -324,16 +333,23 @@ def block_diag_seq(d2: FieldMatrix, t: int, m: int) -> FieldMatrix:
     return FieldMatrix(d2.base, m, m, tuple(out.ravel().tolist()))
 
 
+def _check_entries(count: int, what: str) -> None:
+    """Raise ValueError before allocating a block of more than _MAX_ENTRIES."""
+    if count > _MAX_ENTRIES:
+        raise ValueError(f"{what} of {count} entries exceeds the limit of {_MAX_ENTRIES}")
+
+
 def coordinate_numerators(digits: np.ndarray, base: int, n_digits: int) -> np.ndarray:
     """Numerators of k coordinates over the first base^n_digits indices.
 
     ``digits`` holds k generating matrices over F_base as ``NetSpec.digits``
     does; column c of the returned int64 (base^n_digits, k) block holds the
-    numerators of matrix c over b^m.  Index d b^i + k' (k' < b^i) differs
-    from (d-1) b^i + k' only in digit i, so its output digits are the
-    earlier ones plus C[:, i] mod b: the doubling of Antonov-Saleev and
-    Bratley-Fox.  Base 2 runs it on packed column integers with XOR; other
-    bases run it one output digit at a time.
+    numerators of matrix c over b^m.  The block is the transpose of a
+    C-ordered (k, base^n_digits) array, so each column is contiguous.
+    Index d b^i + k' (k' < b^i) differs from (d-1) b^i + k' only in digit
+    i, so its output digits are the earlier ones plus C[:, i] mod b: the
+    doubling of Antonov-Saleev and Bratley-Fox.  Base 2 runs it on packed
+    column integers with XOR; other bases run it one output digit at a time.
     """
     c = np.asarray(digits)
     if c.ndim != 3 or not c.shape[0] or c.shape[1] != c.shape[2]:
@@ -343,6 +359,7 @@ def coordinate_numerators(digits: np.ndarray, base: int, n_digits: int) -> np.nd
         raise ValueError("n_digits outside [0, m]")
     if base**m >= 1 << 62:
         raise ValueError("b^m too large for exact 64-bit numerators")
+    _check_entries(base**n_digits * c.shape[0], "point block")
     if c.min() < 0 or c.max() >= base:
         raise ValueError(f"digits outside [0, {base})")
     c = c.astype(np.uint8 if base < 128 else np.uint64, copy=False)
@@ -360,42 +377,60 @@ def _numerators_xor(c: np.ndarray, n_digits: int) -> np.ndarray:
     k, m = c.shape[0], c.shape[1]
     weights = 2 ** np.arange(m - 1, -1, -1, dtype=np.int64)
     cols = np.einsum("kri,r->ik", c, weights)
-    out = np.zeros((1 << n_digits, k), dtype=np.int64)
+    out = np.zeros((k, 1 << n_digits), dtype=np.int64)
     n = 1
     for i in range(n_digits):
-        np.bitwise_xor(out[:n], cols[i], out=out[n : 2 * n])
+        np.bitwise_xor(out[:, :n], cols[i][:, None], out=out[:, n : 2 * n])
         n *= 2
-    return out
+    return out.T
 
 
 def _numerators_digits(c: np.ndarray, base: int, n_digits: int) -> np.ndarray:
     """Kernel for any prime base on a (k, m, m) unsigned digit array.
 
-    The doubling runs on one output digit r at a time in an (N, k) digit
+    The doubling runs on one output digit r at a time in a (k, N) digit
     array y_r of c's type, and the numerators accumulate as
     out = out b + y_r, in the narrowest of uint16, uint32 and int64 that
-    holds b^m - 1.  The digit type must hold 2b - 2; being unsigned, x - b
-    wraps above x exactly when x < b, so for x < 2b, min(x, x - b) is
-    x mod b without a division.
+    holds b^m - 1.  The levels whose blocks hold fewer than 64 indices run
+    in a small index-major scratch, whose transpose then starts y_r, so no
+    level steps through k rows of a few entries each.  The digit type must
+    hold 2b - 2; being unsigned, x - b wraps above x exactly when x < b, so
+    for x < 2b, min(x, x - b) is x mod b without a division.
     """
     k, m = c.shape[0], c.shape[1]
     n_rows = base**n_digits
-    y = np.zeros((n_rows, k), dtype=c.dtype)
-    tmp = np.empty((n_rows // base, k), dtype=c.dtype)
+    n_head = 0
+    while n_head < n_digits and base**n_head < 64:
+        n_head += 1
+    cols = np.ascontiguousarray(c.transpose(1, 2, 0))  # cols[r, i] = C[r, i] over k
+    y = np.zeros((k, n_rows), dtype=c.dtype)
+    tmp = np.empty((k, n_rows // base), dtype=c.dtype)
+    head = np.zeros((base**n_head, k), dtype=c.dtype).T
+    head_tmp = np.empty_like(head)
     acc = np.uint16 if base**m <= 65536 else np.uint32 if base**m <= 2**32 else np.int64
-    out = np.zeros((n_rows, k), dtype=acc)
+    out = np.zeros((k, n_rows), dtype=acc)
     for r in range(m):
-        n = 1
-        for i in range(n_digits):
-            for d in range(1, base):
-                block = y[d * n : (d + 1) * n]
-                np.add(y[(d - 1) * n : d * n], c[:, r, i], out=block)
-                np.subtract(block, base, out=tmp[:n])
-                np.minimum(block, tmp[:n], out=block)
-            n *= base
+        _add_levels(head, cols[r], base, 0, n_head, head_tmp)
+        y[:, : head.shape[1]] = head
+        _add_levels(y, cols[r], base, n_head, n_digits, tmp)
         out *= base
         np.add(out, y, out=out, dtype=acc)
-    return out.astype(np.int64, copy=False)
+    return out.astype(np.int64, copy=False).T
+
+
+def _add_levels(y: np.ndarray, cols: np.ndarray, base: int, lo: int, hi: int,
+                tmp: np.ndarray) -> None:
+    """Doubling levels lo..hi-1 of one output digit r on the (k, >= b^hi)
+    view y, given y[:, :b^lo]; ``cols[i]`` is C[r, i] over the k matrices."""
+    n = base**lo
+    for i in range(lo, hi):
+        col = cols[i, :, None]
+        for d in range(1, base):
+            block, scratch = y[:, d * n : (d + 1) * n], tmp[:, :n]
+            np.add(y[:, (d - 1) * n : d * n], col, out=block)
+            np.subtract(block, base, out=scratch)
+            np.minimum(block, scratch, out=block)
+        n *= base
 
 
 def generate_points(net: NetSpec, first_digits: int | None = None) -> PointBlock:

@@ -1,11 +1,14 @@
 """Matrix products with digital-net point blocks.
 
-The standard route materializes the N x s point matrix X and accumulates
-X A = sum_j xi_j a_j with a fixed left-to-right coordinate order.  The fast
-route never materializes X for a column-reduced net: coordinate j repeats
-its leading b^(m - w_j) values b^(w_j) times, so the running product is
-tiled vertically and updated with one rank-one term per coordinate, from the
-last unreduced coordinate down to the first.
+The standard route takes the N x s numerator block of X and accumulates
+X A = sum_j x_j a_j with a fixed left-to-right coordinate order, streaming
+one transformed coordinate column at a time into a (tau, N) accumulator;
+the float block X never exists.  The fast route never materializes X for a
+column-reduced net: coordinate j repeats its leading b^(m - w_j) values
+b^(w_j) times, so the running product is tiled vertically and updated with
+one rank-one term per coordinate, from the last unreduced coordinate down
+to the first.  Neither route calls BLAS, so no output depends on its thread
+count.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .nets import (
     NetSpec,
     PointBlock,
     ReductionSchedule,
+    _check_entries,
     _kept_columns,
     coordinate_numerators,
 )
@@ -107,9 +111,9 @@ class Transform:
     kinds: ``identity``; ``norminv`` shifts right by ``shift`` > 0 and applies
     the inverse normal CDF (the shift keeps 0 away from the pole); ``custom``
     applies a user-supplied function, which must act elementwise and return
-    an array of its input's shape: the standard product applies it to the
-    whole N x s point block, the fast product once to the grid n / b^m of
-    every numerator n.
+    an array of its input's shape: the standard product applies it to one
+    coordinate column at a time, the fast product once to the grid n / b^m
+    of every numerator n.
     """
 
     kind: str = "identity"
@@ -175,15 +179,22 @@ def standard_product(
 ) -> np.ndarray:
     """X A for the given point block, accumulated coordinate by coordinate.
 
-    The accumulation order is fixed (j = 1, ..., s per output entry) so the
-    baseline is bit-reproducible.
+    One transformed coordinate column x_j exists at a time; its rank-one
+    term a_j x_j is added to a (tau, N) accumulator.  The order is fixed
+    (0 + x_1 a_1 + ... + x_s a_s per output entry), so the baseline is
+    bit-reproducible.
     """
     a = _check_a(a, points.s)
-    coords = transform.apply(points.coords())
-    out = np.zeros((points.n_points, a.shape[1]), dtype=np.float64)
+    n, tau = points.n_points, a.shape[1]
+    _check_entries(n * tau, "product block")
+    den = float(points.base**points.m)
+    acc = np.zeros((tau, n), dtype=np.float64)
+    tmp = np.empty_like(acc)
     for j in range(points.s):
-        out += coords[:, j, None] * a[j, None, :]
-    return out
+        x = transform.apply(points.numerators[:, j] / den)
+        np.multiply(a[j, :, None], x[None, :], out=tmp)
+        acc += tmp
+    return np.ascontiguousarray(acc.T)
 
 
 def _validate_reduced(net: NetSpec, sched: ReductionSchedule) -> None:
@@ -217,6 +228,7 @@ def fast_reduced_product(
     a = _check_a(a, net.s)
     _validate_reduced(net, sched)
     b, m, tau = net.base, net.m, a.shape[1]
+    _check_entries(b**m * max(tau, 1), "product block")
     s_star = sched.s_star(m)
 
     # phi(n / b^m) for every numerator n, so no level block is transformed

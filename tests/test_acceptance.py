@@ -7,9 +7,13 @@ runtime limits are asserted with wall-clock measurements.
 
 import io
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,22 +210,60 @@ def test_criterion_9_performance():
     )
 
 
-def test_criterion_10_determinism():
-    def pipeline():
-        net = rn.random_net(2, 6, 10, seed=31337)
-        sched = rn.ReductionSchedule.floor_log(10, 2, 6)
-        red = rn.column_reduce(net, sched)
-        buf_net = io.StringIO()
-        rn.write_net(red, buf_net)
-        pts = rn.generate_points(red)
-        buf_pts = io.StringIO()
-        pts.write_csv(buf_pts)
-        a = np.random.default_rng(7).standard_normal((10, 4))
-        prod = rn.fast_reduced_product(red, sched, a)
-        rep = rn.analyze(net, sched, proj_cap=2).to_json()
-        return buf_net.getvalue(), buf_pts.getvalue(), prod.tobytes(), rep
+def determinism_pipeline():
+    """Criterion 10's outputs: the reduced net file, its points CSV, the fast
+    product's bytes and the quality report JSON."""
+    net = rn.random_net(2, 6, 10, seed=31337)
+    sched = rn.ReductionSchedule.floor_log(10, 2, 6)
+    red = rn.column_reduce(net, sched)
+    buf_net = io.StringIO()
+    rn.write_net(red, buf_net)
+    pts = rn.generate_points(red)
+    buf_pts = io.StringIO()
+    pts.write_csv(buf_pts)
+    a = np.random.default_rng(7).standard_normal((10, 4))
+    prod = rn.fast_reduced_product(red, sched, a)
+    rep = rn.analyze(net, sched, proj_cap=2).to_json()
+    return buf_net.getvalue(), buf_pts.getvalue(), prod.tobytes(), rep
 
-    first = pipeline()
-    second = pipeline()
+
+def test_criterion_10_determinism():
+    first = determinism_pipeline()
+    second = determinism_pipeline()
     assert first == second
     report(10, "nets, points, products, reports byte-identical across reruns")
+
+
+BLAS_CHILD = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import rednets as rn
+from test_acceptance import determinism_pipeline
+
+out = [x.encode() if isinstance(x, str) else x for x in determinism_pipeline()]
+sched = rn.ReductionSchedule.floor_log(200, 2, 10)
+pts = rn.generate_points(rn.column_reduce(rn.random_net(2, 10, 200, seed=5), sched))
+a = np.random.default_rng(8).standard_normal((200, 20))
+for tr in (rn.Transform.identity(), rn.Transform.normal_inverse_for(2, 10)):
+    out.append(rn.standard_product(pts, a, tr).tobytes())
+print(" ".join(hashlib.sha256(x).hexdigest() for x in out))
+"""
+
+
+def test_criterion_10_determinism_across_blas_thread_counts():
+    # no library path calls BLAS, so the thread count of the BLAS that numpy
+    # loads cannot change a byte; the variable is set in the children only
+    src = str(Path(rn.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_CHILD, str(Path(__file__).resolve().parent)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 6 and digests[0] == digests[1]
+    report(10, "the same bytes with OPENBLAS_NUM_THREADS=1 and =2, standard product included")

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import hashlib
 import io
 import os
 import statistics
@@ -362,3 +363,68 @@ def test_bench_vary_m_script_runs_from_a_source_checkout(tmp_path):
     rows = (tmp_path / "vary_m_s800_tau20_log.csv").read_text().splitlines()
     assert rows[0] == BENCH_CSV_FIELDS
     assert sum(",median," in row for row in rows) == 2
+
+
+@pytest.mark.parametrize("base", ["0", "1", "4"])
+def test_gen_random_rejects_bad_base_with_exit_2(capsys, base):
+    code, out, err = run(capsys, "gen", "--b", base, "--m", "2", "--s", "3",
+                         "--source", "random")
+    assert (code, out) == (2, "")
+    assert err == f"error: base must be a prime below 2^63, got {base}\n"
+
+
+def test_tvalue_on_a_net_with_a_huge_prime_base_is_rejected_before_allocating(
+    tmp_path, capsys
+):
+    net = tmp_path / "net.txt"
+    net.write_text("2305843009213693951 1 1\n0\n")
+    code, out, err = run(capsys, "tvalue", "--net", str(net))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: point block of 2305843009213693951 entries exceeds the limit of 268435456\n"
+    )
+
+
+def reduced_net_and_a(tmp_path, capsys, b, m, s, w, tau=20):
+    """Reduced random net (seed 1) and a standard normal A (seed 0) as files."""
+    net, red, a = tmp_path / "net.txt", tmp_path / "red.txt", tmp_path / "a.csv"
+    assert run(capsys, "gen", "--b", str(b), "--m", str(m), "--s", str(s),
+               "--source", "random", "--seed", "1", "--out", str(net))[0] == 0
+    assert run(capsys, "reduce", "--net", str(net), "--w", w, "--out", str(red))[0] == 0
+    rows = np.random.default_rng(0).standard_normal((s, tau)).tolist()
+    a.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return red, a
+
+
+@pytest.mark.parametrize("b,m,s,w,algo,transform,digest", [
+    # the perfbench shapes: paper_standard, paper_fast and base3_norminv
+    (2, 12, 800, "log", "standard", "identity",
+     "dcfaf31d6b7cda665b4acbb8dea7e856a7dd3a93595b89d65f3a84264883ddd7"),
+    (2, 12, 800, "log", "fast", "identity",
+     "538f919019a76b57aad02f21feb81d5413bcecb1030e374c27cddca4582fe34f"),
+    (3, 8, 400, "sqrtlog", "fast", "norminv",
+     "ae31aec260d5ac27b388183c7c6d37881dbdf137d12e7a92ada31a1a7e69e7f2"),
+    (3, 8, 400, "sqrtlog", "standard", "norminv",
+     "69437802701fe81b216b09a2c520308da27d629818c2bf5a034b27cc0f45232a"),
+])
+def test_product_files_are_pinned(tmp_path, capsys, b, m, s, w, algo, transform, digest):
+    # sha256 of the files written by the whole-block standard product and
+    # the row-major point kernel; --bin for the standard product, CSV else
+    red, a = reduced_net_and_a(tmp_path, capsys, b, m, s, w)
+    out = tmp_path / "p.out"
+    argv = ["product", "--net", str(red), "--a", str(a), "--algo", algo,
+            "--transform", transform, "--out", str(out)]
+    argv += ["--bin"] if algo == "standard" else ["--w", w]
+    assert run(capsys, *argv)[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("b,m,s,w,digest", [
+    (2, 10, 30, "log", "d99685f15135a50e3b9705e4d678d1f427c7339cc928f7afdcc0fd21da0cd4e8"),
+    (3, 6, 20, "sqrtlog", "44e24b0949d1e10fe856f3062458a25cd3fc3442f4688723742701b5bcc674c9"),
+])
+def test_points_files_are_pinned(tmp_path, capsys, b, m, s, w, digest):
+    red, _ = reduced_net_and_a(tmp_path, capsys, b, m, s, w, tau=1)
+    out = tmp_path / "points.csv"
+    assert run(capsys, "points", "--net", str(red), "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

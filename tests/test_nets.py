@@ -204,6 +204,12 @@ def test_pascal_net_rejects_bad_base(base):
 # --- random_net ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("base", [0, 1, 4])
+def test_random_net_rejects_bad_base(base):
+    with pytest.raises(ValueError, match=f"^base must be a prime below 2\\^63, got {base}$"):
+        rn.random_net(base, 2, 3, seed=0)
+
+
 def test_random_net_deterministic():
     a = rn.random_net(2, 5, 3, seed=123)
     b = rn.random_net(2, 5, 3, seed=123)
@@ -495,6 +501,48 @@ def test_repetition_structure_of_reduced_points():
         assert np.array_equal(full.numerators[:, j], tiled)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 5),
+    st.lists(st.integers(0, 2), min_size=0, max_size=5),
+    st.integers(0, 10**6),
+)
+def test_reduced_coordinates_are_periodic_in_the_index(base, m, steps, seed):
+    # after column reduction, coordinate j depends only on the first
+    # m - w_j digits of k, so it is periodic in k with period b^(m - w_j)
+    w = [0]
+    for step in steps:
+        w.append(w[-1] + step)
+    sched = rn.ReductionSchedule.explicit(w)
+    red = rn.column_reduce(rn.random_net(base, m, len(w), seed=seed), sched)
+    nums = rn.generate_points(red).numerators
+    assert nums.flags.f_contiguous
+    for j, wj in enumerate(w):
+        period = base ** (m - min(wj, m))
+        col = nums[:, j]
+        assert col.flags.c_contiguous
+        assert (col.reshape(-1, period) == col[:period]).all()
+
+
+def test_generate_points_rejects_oversized_blocks_before_allocating(monkeypatch):
+    monkeypatch.setattr(rn.nets, "_MAX_ENTRIES", 128)
+    assert rn.generate_points(rn.random_net(2, 5, 4, seed=1)).numerators.size == 128
+    net = rn.random_net(2, 5, 5, seed=1)
+    with pytest.raises(ValueError, match="^point block of 160 entries exceeds the limit of 128$"):
+        rn.generate_points(net)
+    with pytest.raises(ValueError, match="point block of 160 entries"):
+        coordinate_numerators(net.digits, 2, 5)
+    assert rn.generate_points(net, 4).n_points == 16
+
+
+def test_generate_points_rejects_a_huge_base_without_allocating():
+    # 2^61 - 1 points of one coordinate: far above the limit, below 2^62
+    net = rn.NetSpec(2**61 - 1, 1, np.zeros((1, 1, 1), dtype=np.int64))
+    with pytest.raises(ValueError, match=f"point block of {2**61 - 1} entries"):
+        rn.generate_points(net)
+
+
 def test_unreduced_columns_match_after_reduction():
     net = rn.random_net(3, 4, 3, seed=8)
     sched = rn.ReductionSchedule.explicit([0, 0, 2])
@@ -550,6 +598,41 @@ def test_numerators_digits_at_accumulator_width_boundaries(base, m, n_digits):
     n_rows = base**n_digits
     for idx in sorted({0, 1, n_rows // 3, n_rows - 2, n_rows - 1}):
         got = [Fraction(int(v), base**m) for v in block[idx]]
+        assert got == list(point_slow(net, idx))
+
+
+def numerators_by_matmul(net, n_digits):
+    """Oracle: (N, s) numerators as digit vectors times C_j^T mod b, exact."""
+    b, m = net.base, net.m
+    idx = np.arange(b**n_digits, dtype=np.int64)
+    k_digits = (idx[:, None] // b ** np.arange(m, dtype=np.int64)) % b
+    weights = b ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    cs = net.digits.astype(np.int64)
+    return np.stack([(k_digits @ c.T) % b @ weights for c in cs], axis=1)
+
+
+@pytest.mark.parametrize("base,m,s", [(2, 8, 5), (3, 6, 4), (5, 4, 3), (7, 4, 2), (131, 2, 3)])
+def test_coordinate_numerators_are_column_major_and_exact(base, m, s):
+    # every n_digits from a block inside the small index-major head (fewer
+    # than 64 indices per level) to blocks past it
+    net = rn.random_net(base, m, s, seed=base + m)
+    for n_digits in range(m + 1):
+        want = numerators_by_matmul(net, n_digits)
+        kernels = [
+            lambda d, n: coordinate_numerators(d, base, n),
+            lambda d, n: _numerators_digits(d, base, n),
+        ]
+        if base == 2:
+            kernels.append(_numerators_xor)
+        for kernel in kernels:
+            got = kernel(net.digits, n_digits)
+            assert got.shape == (base**n_digits, s) and got.dtype == np.int64
+            assert got.flags.f_contiguous
+            assert np.array_equal(got, want)
+    pts = rn.generate_points(net)
+    assert pts.numerators.flags.f_contiguous
+    for idx in (0, 1, base**m - 1):
+        got = [pts.coord_fraction(idx, j) for j in range(s)]
         assert got == list(point_slow(net, idx))
 
 

@@ -138,6 +138,55 @@ def test_standard_product_validates_inputs():
         rn.standard_product(pts, np.array([[np.nan], [0.0]]))
 
 
+def whole_block_standard_product(points, a, transform):
+    """Oracle: transform the whole N x s block, then add x_j a_j in j order
+    into an (N, tau) block that starts at zero."""
+    coords = transform.apply(points.coords())
+    out = np.zeros((points.n_points, a.shape[1]), dtype=np.float64)
+    for j in range(points.s):
+        out += coords[:, j, None] * a[j, None, :]
+    return out
+
+
+TRANSFORMS = {
+    "identity": lambda b, m: rn.Transform.identity(),
+    "norminv": rn.Transform.normal_inverse_for,
+    "custom": lambda b, m: rn.Transform.custom(lambda x: np.cos(3.0 * x) - x * x),
+}
+
+
+@pytest.mark.parametrize("base,m,s", [(2, 7, 30), (3, 5, 20), (5, 3, 12), (7, 3, 9)])
+@pytest.mark.parametrize("kind", sorted(TRANSFORMS))
+def test_standard_product_bits_match_whole_block_oracle(base, m, s, kind):
+    sched = rn.ReductionSchedule.floor_log(s, base, m)
+    pts = rn.generate_points(rn.column_reduce(rn.random_net(base, m, s, seed=m), sched))
+    a = np.random.default_rng(base).standard_normal((s, 5))
+    # point 0 is the origin: under the identity x = 0 times a negative entry
+    # is -0.0, and the zero start turns the sum into +0.0
+    a[:, 0] = -np.abs(a[:, 0])
+    a[1, 1] = -0.0
+    tr = TRANSFORMS[kind](base, m)
+    got = rn.standard_product(pts, a, tr)
+    assert got.flags.c_contiguous and got.shape == (base**m, 5)
+    assert got.tobytes() == whole_block_standard_product(pts, a, tr).tobytes()
+    if kind == "identity":
+        assert np.signbit(pts.coords()[0, 0] * a[0, 0])
+        assert not np.signbit(got[0]).any()
+
+
+def test_standard_product_bits_do_not_depend_on_the_point_block_order():
+    net = rn.random_net(3, 4, 6, seed=12)
+    pts = rn.generate_points(net)
+    assert pts.numerators.flags.f_contiguous and not pts.numerators.flags.c_contiguous
+    rows = rn.PointBlock(3, 4, np.ascontiguousarray(pts.numerators))
+    assert rows.numerators.flags.c_contiguous
+    a = np.random.default_rng(3).standard_normal((6, 4))
+    for kind in sorted(TRANSFORMS):
+        tr = TRANSFORMS[kind](3, 4)
+        want = rn.standard_product(pts, a, tr).tobytes()
+        assert rn.standard_product(rows, a, tr).tobytes() == want
+
+
 # --- fast reduced product ------------------------------------------------------
 
 
@@ -262,6 +311,38 @@ def test_custom_transform_output_is_checked_in_both_products():
             rn.fast_reduced_product(red, sched, a, tr)
         with pytest.raises(ValueError):
             rn.standard_product(pts, a, tr)
+
+
+def test_custom_transform_shape_message_names_one_column():
+    # the standard product transforms one coordinate column of N = 27
+    # values at a time, the fast product the grid of all b^m = 27 numerators
+    net = rn.random_net(3, 3, 3, seed=15)
+    sched = rn.ReductionSchedule.floor_log(3, 3, 3)
+    red = rn.column_reduce(net, sched)
+    a = np.ones((3, 2))
+    longer = rn.Transform.custom(lambda x: np.concatenate([x, x]))
+    message = "custom transform returned shape (54,), expected (27,)"
+    for call in (
+        lambda: rn.standard_product(rn.generate_points(red), a, longer),
+        lambda: rn.fast_reduced_product(red, sched, a, longer),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_products_reject_oversized_blocks_before_allocating(monkeypatch):
+    # 3^4 points times tau = 5 is 405 entries; the points alone are 324
+    monkeypatch.setattr(rn.nets, "_MAX_ENTRIES", 404)
+    net = rn.random_net(3, 4, 4, seed=2)
+    sched = rn.ReductionSchedule.explicit([0, 0, 0, 0])
+    pts = rn.generate_points(net)
+    message = "product block of 405 entries exceeds the limit of 404"
+    with pytest.raises(ValueError, match=message):
+        rn.standard_product(pts, np.ones((4, 5)))
+    with pytest.raises(ValueError, match=message):
+        rn.fast_reduced_product(net, sched, np.ones((4, 5)))
+    assert rn.standard_product(pts, np.ones((4, 4))).shape == (81, 4)
 
 
 def test_tiling_identity_on_reduced_points():
