@@ -2,8 +2,10 @@
 products, discrepancy bounds, and the benchmark harness.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 enumeration budget
-exhausted.  The enumeration budget can be set with REDNETS_ENUM_BUDGET and
-the benchmark memory guard (max b^m * s point entries) with REDNETS_BENCH_CAP.
+exhausted.  The enumeration budget can be set with REDNETS_ENUM_BUDGET, the
+only environment variable.  Every block the CLI allocates, the benchmark's
+b^m * s point blocks included, is checked against one entry limit, 2^28
+(``nets._MAX_ENTRIES``), before it is allocated.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .discrepancy import WeightModel, global_disc_bound
 from .nets import (
     NetSpec,
     ReductionSchedule,
+    _check_entries,
     column_reduce,
     generate_points,
     pascal_net,
@@ -257,13 +260,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("need at least 3 repetitions for a median")
     m_list = [int(x) for x in args.m_list.split(",")]
     s_list = [int(x) for x in args.s_list.split(",")]
-    cap = _env_int("REDNETS_BENCH_CAP", 1 << 26)
     for m in m_list:
         for s in s_list:
-            if args.b**m * s > cap:
-                raise ValueError(
-                    f"b^m * s = {args.b**m * s} exceeds memory cap {cap}"
-                )
+            _check_entries(args.b**m * s, "point block")
     rows = []
     for m in m_list:
         for s in s_list:

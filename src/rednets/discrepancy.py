@@ -12,13 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .nets import PointBlock, ReductionSchedule
-from .quality import DEFAULT_BUDGET, EnumerationBudgetError, _normalize_subset
+from .quality import (
+    DEFAULT_BUDGET,
+    EnumerationBudgetError,
+    _normalize_subset,
+    _subsets,
+    theorem_bounds,
+)
 
 __all__ = [
     "GlobalBound",
@@ -110,13 +115,8 @@ class WeightModel:
         return self.values[j - 1]
 
     def gammas(self, s: int) -> np.ndarray:
-        if self.kind == "const":
-            return np.full(s, self.param)
-        if self.kind == "poly":
-            return np.arange(1, s + 1, dtype=np.float64) ** -self.param
-        if s > len(self.values):
-            raise ValueError(f"weight list has only {len(self.values)} entries")
-        return np.array(self.values[:s])
+        """gamma(1), ..., gamma(s) as float64, bit for bit."""
+        return np.array([self.gamma(j) for j in range(1, s + 1)], dtype=np.float64)
 
     def gamma_u(self, u: Sequence[int]) -> float:
         out = 1.0
@@ -148,13 +148,12 @@ def local_discrepancy(
         raise ValueError("x must have one entry per coordinate in u")
     if any(not 0.0 < xj <= 1.0 for xj in x):
         raise ValueError("x must lie in (0, 1]^|u|")
-    coords = points.coords()
+    n = points.base**points.m
     mask = np.ones(points.n_points, dtype=bool)
     vol = 1.0
     for j, xj in zip(u, x):
-        mask &= coords[:, j - 1] < xj
+        mask &= points.numerators[:, j - 1] / float(n) < xj
         vol *= xj
-    n = points.base**points.m
     return int(mask.sum()) / n - vol
 
 
@@ -338,9 +337,9 @@ def global_disc_bound(
     """Upper bound on the weighted star discrepancy of the reduced net.
 
     ``net_t_u`` maps 1-based coordinate subsets of [s*] (up to proj_cap) to
-    the quality parameter of the *unreduced* net's projection; the reduced
-    projections are bounded through min(m, w_max(u) + t_u).  The single-
-    coordinate term uses the same clamp.
+    the quality parameter of the *unreduced* net's projection, in [0, m];
+    every reduced projection, single coordinates included, is bounded
+    through ``theorem_bounds(t_u, m, sched, u).t_upper`` = min(m, w_max(u) + t_u).
     """
     if sched.s != s:
         raise ValueError("schedule length does not match s")
@@ -359,37 +358,21 @@ def global_disc_bound(
             prod *= float(tail.max())
         outside = prod / bm
 
-    singles = 0.0
-    for j in range(1, s_star + 1):
-        t_j = net_t_u.get((j,))
-        if t_j is None:
-            raise ValueError(f"missing t value for projection ({j},)")
-        singles = max(
-            singles, float(g[j - 1]) * base ** min(m, sched.w[j - 1] + t_j) / bm
-        )
+    def term(u: tuple[int, ...]) -> float:
+        t_u = net_t_u.get(u)
+        if t_u is None:
+            raise ValueError(f"missing t value for projection {u}")
+        t_red = theorem_bounds(t_u, m, sched, u).t_upper
+        return weights.gamma_u(u) * base**t_red / bm
 
-    higher: float | None = None
-    max_size = min(proj_cap, s_star)
-    n_subsets = sum(math.comb(s_star, k) for k in range(2, max_size + 1))
-    if n_subsets > budget:
-        raise EnumerationBudgetError(
-            f"{n_subsets} projections exceed budget {budget}"
-        )
-    for size in range(2, max_size + 1):
-        coeffs = avb_coefficients(base, size)
-        poly = float(sum(c * m**v for v, c in enumerate(coeffs)))
-        for u in combinations(range(1, s_star + 1), size):
-            t_u = net_t_u.get(u)
-            if t_u is None:
-                raise ValueError(f"missing t value for projection {u}")
-            w_bar = sched.w[max(u) - 1]
-            val = (
-                weights.gamma_u(u)
-                * base ** min(m, w_bar + t_u)
-                / bm
-                * poly
-            )
-            higher = val if higher is None else max(higher, val)
+    singles = max((term((j,)) for j in range(1, s_star + 1)), default=0.0)
+    sizes = range(2, min(proj_cap, s_star) + 1)
+    subsets = _subsets(s_star, sizes, budget)
+    polys = {
+        size: float(sum(c * m**v for v, c in enumerate(avb_coefficients(base, size))))
+        for size in sizes
+    }
+    higher = max((term(u) * polys[len(u)] for u in subsets), default=None)
 
     candidates = [v for v in (outside, singles, higher) if v is not None]
     return GlobalBound(

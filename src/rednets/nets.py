@@ -470,6 +470,15 @@ def write_net(net: NetSpec, fh: IO[str]) -> None:
         fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
+def _loadtxt(lines: list[str], what: str, **kw) -> np.ndarray:
+    """The one text-table parser of net and matrix files: a 2-d array, or
+    a one-line ValueError naming the file kind and the first bad cell."""
+    try:
+        return np.loadtxt(lines, ndmin=2, comments=None, **kw)
+    except ValueError as exc:
+        raise ValueError(f"bad {what}: {str(exc).split(';')[0]}") from None
+
+
 def read_net(fh: IO[str]) -> NetSpec:
     """Parse the :func:`write_net` format; blank lines are ignored."""
     head = next((ln.split() for ln in fh if ln.strip()), None)
@@ -483,10 +492,7 @@ def read_net(fh: IO[str]) -> NetSpec:
     lines = [ln for ln in fh if ln.strip()]
     if len(lines) != s * m:
         raise ValueError(f"expected {1 + s * m} lines, found {1 + len(lines)}")
-    try:
-        digits = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise ValueError(f"bad net file body: {str(exc).split(';')[0]}") from None
+    digits = _loadtxt(lines, "net file body", dtype=np.int64)
     if digits.shape[1] != m:
         raise ValueError(f"row length {digits.shape[1]} != m = {m}")
     return NetSpec(base, m, digits.reshape(s, m, m), provenance="file")

@@ -25,6 +25,7 @@ from .nets import (
     ReductionSchedule,
     _check_entries,
     _kept_columns,
+    _loadtxt,
     coordinate_numerators,
 )
 
@@ -303,25 +304,17 @@ def qmc_estimate(
 
 
 def read_matrix_csv(fh: IO[str]) -> np.ndarray:
-    """Real matrix from CSV, row-major; a non-numeric first line is a header."""
-    rows = []
-    for idx, line in enumerate(fh):
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
+    """Real matrix from CSV, row-major.  Blank lines are ignored, and a
+    first line with a non-numeric cell is a header and is skipped."""
+    lines = [ln for ln in fh if ln.strip()]
+    if lines:
         try:
-            rows.append([float(c) for c in cells])
+            _loadtxt(lines[:1], "matrix file", delimiter=",")
         except ValueError:
-            if idx == 0:
-                continue
-            raise ValueError(f"bad numeric row: {line!r}")
-    if not rows:
+            lines = lines[1:]
+    if not lines:
         raise ValueError("empty matrix file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError("ragged CSV rows")
-    return np.array(rows, dtype=np.float64)
+    return _loadtxt(lines, "matrix file", delimiter=",")
 
 
 def write_product_csv(p: np.ndarray, fh: IO[str]) -> None:

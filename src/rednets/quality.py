@@ -291,22 +291,24 @@ def verify_tmes_net(
     return _tms_holds(points, t, range(points.s), e, budget, {})
 
 
+def _subsets(n: int, sizes: range, budget: int) -> Iterator[tuple[int, ...]]:
+    """Subsets of 1..n with a size in ``sizes``, by size, each in lex order.
+
+    Their number is compared with the budget when this is called, before
+    any subset is made.
+    """
+    count = sum(math.comb(n, size) for size in sizes)
+    if count > budget:
+        raise EnumerationBudgetError(f"{count} projections exceed budget {budget}")
+    return (u for size in sizes for u in combinations(range(1, n + 1), size))
+
+
 def _projection_t(
     points: PointBlock, n_coords: int, cap: int, budget: int
 ) -> dict[tuple[int, ...], int]:
-    """strict_t of every subset of 1..n_coords with at most ``cap`` members.
-
-    The subsets are counted against the budget before any is checked.
-    """
-    sizes = range(1, min(cap, n_coords) + 1)
-    count = sum(math.comb(n_coords, size) for size in sizes)
-    if count > budget:
-        raise EnumerationBudgetError(f"{count} projections exceed budget {budget}")
-    return {
-        u: strict_t(points, u, budget=budget)
-        for size in sizes
-        for u in combinations(range(1, n_coords + 1), size)
-    }
+    """strict_t of every subset of 1..n_coords with at most ``cap`` members."""
+    subsets = _subsets(n_coords, range(1, min(cap, n_coords) + 1), budget)
+    return {u: strict_t(points, u, budget=budget) for u in subsets}
 
 
 @dataclass(frozen=True)

@@ -276,11 +276,12 @@ def test_bench_csv_schema_and_predictions(tmp_path, capsys):
 
 
 def test_bench_memory_guard(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REDNETS_BENCH_CAP", "100")
-    code, _, err = run(capsys, "bench", "--b", "2", "--m-list", "8", "--tau", "2",
-                       "--s-list", "4", "--reps", "3", "--out", "-")
+    monkeypatch.setattr(rn.nets, "_MAX_ENTRIES", 100)
+    code, out, err = run(capsys, "bench", "--b", "2", "--m-list", "8", "--tau", "2",
+                         "--s-list", "4", "--reps", "3", "--out", "-")
     assert code == 2
-    assert "memory cap" in err
+    assert "exceeds the limit of 100" in err
+    assert out == ""
 
 
 def test_bench_single_coordinate_no_reduction_benefit(tmp_path, capsys):

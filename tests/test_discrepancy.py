@@ -75,6 +75,24 @@ def test_weight_model_j_zero_and_gamma_u():
     assert w.gamma_u(()) == 1.0
 
 
+DESCENDING = np.sort(np.random.default_rng(3).uniform(0.1, 3.0, 10**5))[::-1]
+
+
+@pytest.mark.parametrize("weights, s", [
+    (rn.WeightModel.constant(0.7), 10**5),
+    (rn.WeightModel.polynomial(2), 10**5),
+    (rn.WeightModel.polynomial(1.5), 10**5),
+    (rn.WeightModel.explicit(DESCENDING), 10**5),
+    (rn.WeightModel.polynomial(2), 0),
+])
+def test_gammas_are_the_scalar_gammas_bit_for_bit(weights, s):
+    # numpy's vectorised j ** -2 differs from float(j) ** -2 in the last bit
+    # for some j (the first at j = 31 on x86-64 SIMD); gammas must not
+    g = weights.gammas(s)
+    assert g.dtype == np.float64 and g.shape == (s,)
+    assert g.tobytes() == np.array([weights.gamma(j) for j in range(1, s + 1)]).tobytes()
+
+
 # --- local discrepancy ----------------------------------------------------------
 
 
@@ -204,6 +222,22 @@ def test_star_disc_memory_stays_below_one_plane_of_corners():
     assert peak < 16 * 2**20
 
 
+def test_local_discrepancy_reads_only_the_columns_in_u():
+    # the whole float block of 4096 x 800 points would take 26 MB
+    pts = rn.generate_points(rn.random_net(2, 12, 800, seed=4))
+    x = (0.3, 0.55, 0.9)
+    tracemalloc.start()
+    try:
+        val = rn.local_discrepancy(pts, (2, 400, 800), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    coords = pts.coords()
+    inside = (coords[:, 1] < x[0]) & (coords[:, 399] < x[1]) & (coords[:, 799] < x[2])
+    assert val == int(inside.sum()) / 4096 - x[0] * x[1] * x[2]
+
+
 def test_star_disc_dominates_local_discrepancy_probes():
     pts = rn.generate_points(rn.random_net(2, 4, 3, seed=23))
     dstar = rn.exact_star_discrepancy(pts, (1, 2))
@@ -307,6 +341,17 @@ def test_global_bound_missing_projection_errors():
     sched = rn.ReductionSchedule.explicit([0, 1])
     with pytest.raises(ValueError):
         rn.global_disc_bound({(1,): 0}, sched, rn.WeightModel.constant(1.0), 2, 4, 2)
+
+
+@pytest.mark.parametrize("tmap", [
+    {(1,): 0, (2,): 5, (1, 2): 0},
+    {(1,): -1, (2,): 0, (1, 2): 0},
+    {(1,): 0, (2,): 0, (1, 2): 5},
+])
+def test_global_bound_rejects_t_outside_zero_to_m(tmap):
+    sched = rn.ReductionSchedule.explicit([0, 1])
+    with pytest.raises(ValueError, match="need 0 <= t <= m"):
+        rn.global_disc_bound(tmap, sched, rn.WeightModel.constant(1.0), 2, 4, 2)
 
 
 # --- reduction index choosers ------------------------------------------------------------

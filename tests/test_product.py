@@ -6,8 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rednets as rn
+from rednets.cli import main
 from rednets.product import (
     _A,
     _B,
@@ -449,6 +452,52 @@ def test_read_matrix_csv_with_and_without_header():
         read_matrix_csv(io.StringIO("1,2\n3\n"))
     with pytest.raises(ValueError):
         read_matrix_csv(io.StringIO(""))
+
+
+def test_read_matrix_csv_skips_blank_lines_before_and_inside():
+    a = read_matrix_csv(io.StringIO("\n  \na1,a2\n1.5,2\n\n3,4\n\n"))
+    assert a.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+    assert read_matrix_csv(io.StringIO("\n1.5,2\n3,4\n")).tolist() == a.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=48),
+    st.integers(1, 6),
+    st.sampled_from([repr, "{:.17g}".format, "{:.3e}".format, " {!r} ".format]),
+)
+@example([-0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308], 2, repr)
+def test_read_matrix_csv_reads_what_float_reads(values, width, fmt):
+    width = min(width, len(values))
+    rows = [values[i : i + width] for i in range(0, len(values) - width + 1, width)]
+    lines = [",".join(fmt(v) for v in row) for row in rows]
+    a = read_matrix_csv(io.StringIO("\n".join(lines) + "\n"))
+    want = np.array([[float(c) for c in ln.split(",")] for ln in lines])
+    assert a.dtype == np.float64 and a.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "\n \n",
+    "a1,a2\n",
+    "1,2\n3\n",
+    "1,2\n3,x\n",
+    "1,2\n3,\n",
+    "1,2\n1_0,2\n",
+    "1,2\n\u0661,2\n",
+])
+def test_malformed_matrix_file_is_a_one_line_error_with_exit_2(tmp_path, capsys, text):
+    with pytest.raises(ValueError) as err:
+        read_matrix_csv(io.StringIO(text))
+    assert str(err.value) and "\n" not in str(err.value)
+    net, a = tmp_path / "net.txt", tmp_path / "a.csv"
+    with open(net, "w") as fh:
+        rn.write_net(rn.pascal_net(2, 2, 2), fh)
+    a.write_text(text, encoding="utf-8")
+    code = main(["product", "--net", str(net), "--a", str(a), "--algo", "standard"])
+    err_text = capsys.readouterr().err
+    assert code == 2
+    assert err_text.startswith("error:") and err_text.count("\n") == 1
 
 
 def test_product_csv_round_trip_values():
