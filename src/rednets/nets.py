@@ -476,7 +476,7 @@ def _loadtxt(lines: list[str], what: str, **kw) -> np.ndarray:
     try:
         return np.loadtxt(lines, ndmin=2, comments=None, **kw)
     except ValueError as exc:
-        raise ValueError(f"bad {what}: {str(exc).split(';')[0]}") from None
+        raise ValueError(f"bad {what}: {str(exc).split('; use `usecols`')[0]}") from None
 
 
 def read_net(fh: IO[str]) -> NetSpec:

@@ -112,9 +112,9 @@ class Transform:
     kinds: ``identity``; ``norminv`` shifts right by ``shift`` > 0 and applies
     the inverse normal CDF (the shift keeps 0 away from the pole); ``custom``
     applies a user-supplied function, which must act elementwise and return
-    an array of its input's shape: the standard product applies it to one
-    coordinate column at a time, the fast product once to the grid n / b^m
-    of every numerator n.
+    an array of its input's shape.  Both products apply it once, to the grid
+    n / b^m of every numerator n; the standard product applies it to one
+    coordinate column at a time instead if the grid outsizes its point block.
     """
 
     kind: str = "identity"
@@ -180,19 +180,21 @@ def standard_product(
 ) -> np.ndarray:
     """X A for the given point block, accumulated coordinate by coordinate.
 
-    One transformed coordinate column x_j exists at a time; its rank-one
-    term a_j x_j is added to a (tau, N) accumulator.  The order is fixed
-    (0 + x_1 a_1 + ... + x_s a_s per output entry), so the baseline is
-    bit-reproducible.
+    One transformed coordinate column x_j, looked up in phi evaluated once
+    on the grid n / b^m, exists at a time; its rank-one term a_j x_j is
+    added to a (tau, N) accumulator.  The order is fixed (0 + x_1 a_1 +
+    ... + x_s a_s per output entry), so the baseline is bit-reproducible.
     """
     a = _check_a(a, points.s)
     n, tau = points.n_points, a.shape[1]
     _check_entries(n * tau, "product block")
-    den = float(points.base**points.m)
+    bm = points.base**points.m
+    grid = transform.apply(np.arange(bm) / float(bm)) if bm <= n * points.s else None
     acc = np.zeros((tau, n), dtype=np.float64)
     tmp = np.empty_like(acc)
     for j in range(points.s):
-        x = transform.apply(points.numerators[:, j] / den)
+        nums = points.numerators[:, j]
+        x = transform.apply(nums / float(bm)) if grid is None else grid[nums]
         np.multiply(a[j, :, None], x[None, :], out=tmp)
         acc += tmp
     return np.ascontiguousarray(acc.T)

@@ -212,18 +212,11 @@ def _cells_balanced(
     return True
 
 
-def _tms_holds(
-    points: PointBlock,
-    t: int,
-    cols: Sequence[int],
-    steps: Sequence[int],
-    budget: int,
-    lead: dict[tuple[int, int], np.ndarray],
-) -> bool:
-    """Cell check of the :func:`compositions` of m - t over ``cols``.
-
-    The shapes are counted against the budget before any is built.
-    """
+def _shapes(
+    points: PointBlock, t: int, steps: Sequence[int], budget: int
+) -> Iterator[tuple[int, ...]]:
+    """The :func:`compositions` of m - t, after checking t and the full
+    block and counting them against the budget before any is built."""
     m = points.m
     if not 0 <= t <= m:
         raise ValueError("need 0 <= t <= m")
@@ -235,7 +228,27 @@ def _tms_holds(
             f"{n_shapes} interval shapes x {points.n_points} points "
             f"exceeds budget {budget}"
         )
-    return _cells_balanced(points, cols, compositions(m - t, steps), t, lead)
+    return compositions(m - t, steps)
+
+
+def _scan_t(
+    points: PointBlock, cols: Sequence[int], lo: int, inner: bool, budget: int
+) -> int:
+    """Smallest t >= lo at which every shape over ``cols`` is balanced.
+
+    Only the largest shape count, at t = 0, meets the budget.  ``inner``
+    checks only shapes with all depths >= 1: the others are shapes of
+    proper subsets of ``cols``, which the caller has verified at some
+    t <= lo, and a (t, m, s)-net is also a (t + 1, m, s)-net."""
+    m, ones = points.m, (1,) * len(cols)
+    _shapes(points, 0, ones, budget)  # the checks only
+    lead: dict[tuple[int, int], np.ndarray] = {}
+    for t in range(lo, m + 1):
+        total = m - t - len(cols) * inner  # inner shapes: 1 + each composition
+        shapes = (tuple(d + inner for d in c) for c in compositions(total, ones))
+        if total < 0 or _cells_balanced(points, cols, shapes, t, lead):
+            return t
+    raise AssertionError("t = m always verifies; unreachable")
 
 
 def verify_tms_net(
@@ -252,7 +265,8 @@ def verify_tms_net(
     numerators, so the test is exact.
     """
     u = _normalize_subset(u, points.s)
-    return _tms_holds(points, t, [j - 1 for j in u], (1,) * len(u), budget, {})
+    shapes = _shapes(points, t, (1,) * len(u), budget)
+    return _cells_balanced(points, [j - 1 for j in u], shapes, t, {})
 
 
 def strict_t(
@@ -263,12 +277,7 @@ def strict_t(
 ) -> int:
     """Smallest t for which the net property holds (scan t = 0, 1, ..., m)."""
     u = _normalize_subset(u, points.s)
-    cols, ones = [j - 1 for j in u], (1,) * len(u)
-    lead: dict[tuple[int, int], np.ndarray] = {}
-    for t in range(points.m + 1):
-        if _tms_holds(points, t, cols, ones, budget, lead):
-            return t
-    raise AssertionError("t = m always verifies; unreachable")
+    return _scan_t(points, [j - 1 for j in u], 0, False, budget)
 
 
 def verify_tmes_net(
@@ -288,7 +297,7 @@ def verify_tmes_net(
         raise ValueError("shape vector length must equal the dimension")
     if any(ej < 1 for ej in e):
         raise ValueError("shape entries must be >= 1")
-    return _tms_holds(points, t, range(points.s), e, budget, {})
+    return _cells_balanced(points, range(points.s), _shapes(points, t, e, budget), t, {})
 
 
 def _subsets(n: int, sizes: range, budget: int) -> Iterator[tuple[int, ...]]:
@@ -306,9 +315,16 @@ def _subsets(n: int, sizes: range, budget: int) -> Iterator[tuple[int, ...]]:
 def _projection_t(
     points: PointBlock, n_coords: int, cap: int, budget: int
 ) -> dict[tuple[int, ...], int]:
-    """strict_t of every subset of 1..n_coords with at most ``cap`` members."""
-    subsets = _subsets(n_coords, range(1, min(cap, n_coords) + 1), budget)
-    return {u: strict_t(points, u, budget=budget) for u in subsets}
+    """t of every subset of 1..n_coords with at most ``cap`` members.
+
+    Subsets come by size.  t_v <= t_u for v in u (a projection of a
+    (t, m, s)-net is a (t, m, |v|)-net), so the scan of u starts at the
+    largest t of u minus one index and checks only all-positive shapes."""
+    ts: dict[tuple[int, ...], int] = {}
+    for u in _subsets(n_coords, range(1, min(cap, n_coords) + 1), budget):
+        lo = max(ts.get(u[:i] + u[i + 1 :], 0) for i in range(len(u)))
+        ts[u] = _scan_t(points, [j - 1 for j in u], lo, True, budget)
+    return ts
 
 
 @dataclass(frozen=True)
@@ -374,23 +390,33 @@ def analyze(
     reduced = column_reduce(net, sched)
     base_points = generate_points(net)
     red_points = generate_points(reduced)
+    s, ones = net.s, (1,) * net.s
+    # Budget errors come in the order of a plain t = 0 scan of each set.
+    if net.declared_t is None:
+        _shapes(base_points, 0, ones, budget)
+    rho_full = rho(reduced, budget=budget)
+    _shapes(red_points, 0, ones, budget)
+    base_t = _projection_t(base_points, s, proj_cap, budget)
+    red_t = _projection_t(red_points, s, proj_cap, budget)
+
+    def full_t(points: PointBlock, ts: dict[tuple[int, ...], int]) -> int:
+        if proj_cap >= s:
+            return ts[tuple(range(1, s + 1))]
+        lo = max(ts.values(), default=0)
+        return _scan_t(points, range(s), lo, proj_cap >= s - 1, budget)
 
     t_full = net.declared_t
     if t_full is None:
-        t_full = strict_t(base_points, budget=budget)
-    full_u = tuple(range(1, net.s + 1))
-    bounds_full = theorem_bounds(t_full, net.m, sched, full_u)
-
-    rho_full = rho(reduced, budget=budget)
-    t_exact = strict_t(red_points, budget=budget)
+        t_full = full_t(base_points, base_t)
+    t_exact = full_t(red_points, red_t)
     if rho_full < net.m - t_exact:
         raise AssertionError("rho < m - t contradicts the net property")
 
     projections: dict[tuple[int, ...], ProjectionQuality] = {}
-    for u, t_u in _projection_t(base_points, net.s, proj_cap, budget).items():
+    for u, t_u in base_t.items():
         projections[u] = ProjectionQuality(
             rho=rho(reduced, u, budget=budget),
-            t_exact=strict_t(red_points, u, budget=budget),
+            t_exact=red_t[u],
             t_upper=theorem_bounds(t_u, net.m, sched, u).t_upper,
         )
     return QualityReport(
@@ -399,6 +425,6 @@ def analyze(
         s=net.s,
         rho=rho_full,
         t_exact=t_exact,
-        t_upper=bounds_full.t_upper,
+        t_upper=theorem_bounds(t_full, net.m, sched).t_upper,
         projections=projections,
     )

@@ -183,6 +183,59 @@ def test_exit_code_3_on_budget_exhaustion(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+# exit-3 diagnostics of b=2 m=10 s=5 random nets under the log schedule and
+# the default cap, recorded before the projection scans were seeded
+DISC_BOUND_EXIT_3 = {
+    1: "30 projections exceed budget 1",
+    50: "1 interval shapes x 1024 points exceeds budget 50",
+    10**3: "1 interval shapes x 1024 points exceeds budget 1000",
+    10**4: "11 interval shapes x 1024 points exceeds budget 10000",
+    10**5: "286 interval shapes x 1024 points exceeds budget 100000",
+    10**6: None,
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_budget_diagnostics_of_report_and_disc_bound_are_unchanged(
+    tmp_path, capsys, monkeypatch, seed
+):
+    net = tmp_path / "net.txt"
+    with open(net, "w") as fh:
+        rn.write_net(rn.random_net(2, 10, 5, seed), fh)
+    for budget, disc in DISC_BOUND_EXIT_3.items():
+        monkeypatch.setenv("REDNETS_ENUM_BUDGET", str(budget))
+        code, _, err = run(capsys, "report", "--net", str(net), "--w", "log")
+        assert (code, err) == (
+            3, f"error: 1001 interval shapes x 1024 points exceeds budget {budget}\n"
+        )
+        code, _, err = run(capsys, "disc-bound", "--net", str(net), "--w", "log",
+                           "--weights", "poly:2")
+        assert (code, err) == ((3, f"error: {disc}\n") if disc else (0, ""))
+
+
+@pytest.mark.parametrize("net_text,a_text,message", [
+    ("2 2 1\n0;1 1\n1 0\n", "1\n",
+     "bad net file body: could not convert string '0;1' "),
+    (None, "1,2\n3;4,5\n", "bad matrix file: could not convert string '3;4' "),
+    ("2 2 1\n1 0 1\n0 1\n", "1\n",
+     "bad net file body: the number of columns changed from 3 to 2 at row 2\n"),
+])
+def test_text_table_diagnostics_quote_the_whole_bad_cell(
+    tmp_path, capsys, net_text, a_text, message
+):
+    net, a = tmp_path / "net.txt", tmp_path / "a.csv"
+    if net_text is None:
+        with open(net, "w") as fh:
+            rn.write_net(rn.pascal_net(2, 2, 2), fh)
+    else:
+        net.write_text(net_text)
+    a.write_text(a_text)
+    code, _, err = run(capsys, "product", "--net", str(net), "--a", str(a),
+                       "--algo", "standard")
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith(f"error: {message}")
+
+
 def test_disc_bound_counts_projections_before_checking_them(tmp_path):
     # s* = 255 and cap 4 give 174825280 subsets: checking them would not finish
     net = tmp_path / "net.txt"

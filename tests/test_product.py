@@ -162,7 +162,8 @@ TRANSFORMS = {
 @pytest.mark.parametrize("kind", sorted(TRANSFORMS))
 def test_standard_product_bits_match_whole_block_oracle(base, m, s, kind):
     sched = rn.ReductionSchedule.floor_log(s, base, m)
-    pts = rn.generate_points(rn.column_reduce(rn.random_net(base, m, s, seed=m), sched))
+    net = rn.column_reduce(rn.random_net(base, m, s, seed=m), sched)
+    pts = rn.generate_points(net)
     a = np.random.default_rng(base).standard_normal((s, 5))
     # point 0 is the origin: under the identity x = 0 times a negative entry
     # is -0.0, and the zero start turns the sum into +0.0
@@ -175,6 +176,11 @@ def test_standard_product_bits_match_whole_block_oracle(base, m, s, kind):
     if kind == "identity":
         assert np.signbit(pts.coords()[0, 0] * a[0, 0])
         assert not np.signbit(got[0]).any()
+    # the first b points: the grid outsizes the block, so each column is
+    # transformed on its own
+    part = rn.generate_points(net, 1)
+    want = whole_block_standard_product(part, a, tr).tobytes()
+    assert rn.standard_product(part, a, tr).tobytes() == want
 
 
 def test_standard_product_bits_do_not_depend_on_the_point_block_order():
@@ -188,6 +194,29 @@ def test_standard_product_bits_do_not_depend_on_the_point_block_order():
         tr = TRANSFORMS[kind](3, 4)
         want = rn.standard_product(pts, a, tr).tobytes()
         assert rn.standard_product(rows, a, tr).tobytes() == want
+
+
+def test_custom_transform_is_called_once_on_the_grid_by_both_products():
+    net = rn.random_net(3, 4, 5, seed=4)
+    sched = rn.ReductionSchedule.floor_log(5, 3, 4)
+    red = rn.column_reduce(net, sched)
+    a = np.random.default_rng(4).standard_normal((5, 3))
+    calls = []
+
+    def fn(x):
+        calls.append(x.shape)
+        return np.sin(x)
+
+    tr = rn.Transform.custom(fn)
+    rn.standard_product(rn.generate_points(red), a, tr)
+    assert calls == [(81,)]
+    calls.clear()
+    rn.fast_reduced_product(red, sched, a, tr)
+    assert calls == [(81,)]
+    # a block of 3 x 5 points is smaller than the grid: one call per column
+    calls.clear()
+    rn.standard_product(rn.generate_points(red, 1), a, tr)
+    assert calls == [(3,)] * 5
 
 
 # --- fast reduced product ------------------------------------------------------
@@ -317,8 +346,7 @@ def test_custom_transform_output_is_checked_in_both_products():
 
 
 def test_custom_transform_shape_message_names_one_column():
-    # the standard product transforms one coordinate column of N = 27
-    # values at a time, the fast product the grid of all b^m = 27 numerators
+    # both products transform the grid of all b^m = 27 numerators once
     net = rn.random_net(3, 3, 3, seed=15)
     sched = rn.ReductionSchedule.floor_log(3, 3, 3)
     red = rn.column_reduce(net, sched)

@@ -14,8 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
+from rednets import quality
+from rednets.cli import parse_schedule
 from rednets.gfmat import rank_generic, stack_rows
-from rednets.quality import EnumerationBudgetError, _n_compositions, compositions
+from rednets.quality import (
+    EnumerationBudgetError,
+    _n_compositions,
+    _projection_t,
+    _scan_t,
+    compositions,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -422,3 +430,113 @@ def test_report_json_schema_and_determinism():
     assert set(payload) == {"base", "m", "s", "rho", "t_exact", "t_upper", "projections"}
     assert set(payload["projections"]) == {"1", "2", "1,2"}
     assert set(payload["projections"]["1,2"]) == {"rho", "t_exact", "t_upper"}
+
+
+# --- subset-seeded projection scans ---------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_nets(s_max=4), st.integers(0, 5))
+def test_projection_t_matches_full_scans(net, cap):
+    points = rn.generate_points(net)
+    got = _projection_t(points, net.s, cap, rn.DEFAULT_BUDGET)
+    want = {u: rn.strict_t(points, u) for u in subsets(net.s) if len(u) <= cap}
+    assert list(got.items()) == list(want.items())
+
+
+def report_from_full_scans(net, sched, cap):
+    """Oracle: the report JSON from full 0..m strict_t scans and rho."""
+    red = rn.column_reduce(net, sched)
+    base, reduced = rn.generate_points(net), rn.generate_points(red)
+    t_full = rn.strict_t(base) if net.declared_t is None else net.declared_t
+    projections = {
+        ",".join(map(str, u)): {
+            "rho": rn.rho(red, u),
+            "t_exact": rn.strict_t(reduced, u),
+            "t_upper": min(net.m, sched.w[u[-1] - 1] + rn.strict_t(base, u)),
+        }
+        for u in subsets(net.s)
+        if len(u) <= cap
+    }
+    payload = {
+        "base": net.base, "m": net.m, "s": net.s, "rho": rn.rho(red),
+        "t_exact": rn.strict_t(reduced), "t_upper": min(net.m, sched.w[-1] + t_full),
+        "projections": projections,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_nets(s_max=4), st.data())
+def test_analyze_matches_a_report_from_full_scans(net, data):
+    w = sorted(data.draw(st.lists(st.integers(0, net.m), min_size=net.s - 1,
+                                  max_size=net.s - 1)))
+    sched = rn.ReductionSchedule.explicit([0, *w])
+    if data.draw(st.booleans()):
+        net = rn.NetSpec(net.base, net.m, net.digits,
+                         declared_t=data.draw(st.integers(0, net.m)))
+    cap = data.draw(st.sampled_from(sorted({0, 1, 2, net.s - 1, net.s})))
+    got = rn.analyze(net, sched, proj_cap=cap).to_json()
+    assert got == report_from_full_scans(net, sched, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_nets(s_max=4))
+def test_passing_inner_scan_checks_only_all_positive_shapes(net):
+    points, m = rn.generate_points(net), net.m
+    real, checked = quality._cells_balanced, []
+
+    def counting(points, cols, shapes, t, lead):
+        shapes = list(shapes)
+        checked.extend(shapes)
+        return real(points, cols, shapes, t, lead)
+
+    for u in subsets(net.s):
+        t, k = rn.strict_t(points, u), len(u)
+        checked.clear()
+        quality._cells_balanced = counting
+        try:
+            assert _scan_t(points, [j - 1 for j in u], t, True, rn.DEFAULT_BUDGET) == t
+        finally:
+            quality._cells_balanced = real
+        assert len(checked) == (math.comb(m - t - 1, k - 1) if t < m else 0)
+        assert all(min(shape) >= 1 and sum(shape) == m - t for shape in checked)
+
+
+def test_analyze_matches_the_recorded_benchmark_reports():
+    # the quality workload's pool of nets, read from the benchmark's own file
+    with open(ROOT / "perfbench" / "expected.json") as fh:
+        expected = json.load(fh)
+    q = expected["report_net"]
+    sched = parse_schedule(q["w"], q["s"], q["b"], q["m"])
+    for seed, want in expected["reports"].items():
+        net = rn.random_net(q["b"], q["m"], q["s"], int(seed))
+        got = rn.analyze(net, sched, proj_cap=q["proj_cap"]).to_json()
+        assert json.loads(got) == want, seed
+
+
+def test_analyze_raises_the_budget_error_of_a_plain_scan_first():
+    # b=2 m=3 s=5: 35 shapes x 8 points = 280 < 420 rho work units; with a
+    # declared t the full unreduced set is not scanned, so rho fails first
+    net = rn.random_net(2, 3, 5, seed=3)
+    sched = rn.ReductionSchedule.explicit([0, 0, 1, 1, 1])
+    declared = rn.NetSpec(2, 3, net.digits, declared_t=1)
+    shapes = "35 interval shapes x 8 points exceeds budget {}"
+    rho_work = "rho enumeration needs ~420 work units, budget is {}"
+    for budget, plain, with_t in [
+        (1, shapes, rho_work),
+        (279, shapes, rho_work),
+        (280, rho_work, rho_work),
+        (419, rho_work, rho_work),
+    ]:
+        for n, message in ((net, plain), (declared, with_t)):
+            with pytest.raises(EnumerationBudgetError) as err:
+                rn.analyze(n, sched, proj_cap=5, budget=budget)
+            assert str(err.value) == message.format(budget)
+    # b=2 m=2 s=8: 36 x 4 = 144 shapes, 160 rho units, 255 projections
+    net = rn.random_net(2, 2, 8, seed=1)
+    sched = rn.ReductionSchedule.explicit([0] * 8)
+    with pytest.raises(EnumerationBudgetError) as err:
+        rn.analyze(net, sched, proj_cap=8, budget=200)
+    assert str(err.value) == "255 projections exceed budget 200"
+    rn.analyze(net, sched, proj_cap=8, budget=255)
