@@ -17,7 +17,7 @@ from .discrepancy import (
     zeta_product_check,
     zeta_value,
 )
-from .gfmat import FieldMatrix, mat_vec, rank, rank_generic, stack_rows
+from .gfmat import FieldMatrix
 from .nets import (
     NetSpec,
     PointBlock,
@@ -77,7 +77,6 @@ __all__ = [
     "generate_points",
     "global_disc_bound",
     "local_discrepancy",
-    "mat_vec",
     "norm_inverse",
     "op_count_model",
     "pascal_net",
@@ -85,13 +84,10 @@ __all__ = [
     "projection_disc_bound",
     "qmc_estimate",
     "random_net",
-    "rank",
-    "rank_generic",
     "read_net",
     "rho",
     "row_reduce",
     "standard_product",
-    "stack_rows",
     "strict_t",
     "theorem_bounds",
     "verify_tmes_net",

@@ -18,7 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .gfmat import FieldMatrix, _check_base, mat_vec
+from .gfmat import FieldMatrix, _check_base
 
 # Largest point or product block, in entries, that any routine allocates
 # (2 GiB of int64); larger requests fail with a ValueError up front.
@@ -89,7 +89,8 @@ class NetSpec:
 
     @functools.cached_property
     def matrices(self) -> tuple[FieldMatrix, ...]:
-        """The matrices as ``FieldMatrix`` values, for the scalar oracles."""
+        """The matrices as ``FieldMatrix`` values, the form that the sequence
+        constructions take and that the scalar test oracles read."""
         b, m, flat = self.base, self.m, self.digits.reshape(self.s, -1).tolist()
         return tuple(FieldMatrix(b, m, m, tuple(ent)) for ent in flat)
 
@@ -446,18 +447,6 @@ def generate_points(net: NetSpec, first_digits: int | None = None) -> PointBlock
     return PointBlock(
         net.base, net.m, coordinate_numerators(net.digits, net.base, first_digits)
     )
-
-
-def point_slow(net: NetSpec, k: int) -> tuple[Fraction, ...]:
-    """Single point via scalar matrix-vector products; test oracle path."""
-    m = net.m
-    digits = [(k // net.base**i) % net.base for i in range(m)]
-    out = []
-    for mat in net.matrices:
-        ys = mat_vec(mat, digits)
-        num = sum(y * net.base ** (m - 1 - i) for i, y in enumerate(ys))
-        out.append(Fraction(num, net.base**m))
-    return tuple(out)
 
 
 def write_net(net: NetSpec, fh: IO[str]) -> None:

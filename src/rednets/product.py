@@ -307,16 +307,21 @@ def qmc_estimate(
 
 def read_matrix_csv(fh: IO[str]) -> np.ndarray:
     """Real matrix from CSV, row-major.  Blank lines are ignored, and a
-    first line with a non-numeric cell is a header and is skipped."""
+    first line in which no cell is a number is a header and is skipped."""
     lines = [ln for ln in fh if ln.strip()]
-    if lines:
-        try:
-            _loadtxt(lines[:1], "matrix file", delimiter=",")
-        except ValueError:
-            lines = lines[1:]
+    if lines and not any(map(_is_number, lines[0].split(","))):
+        lines = lines[1:]
     if not lines:
         raise ValueError("empty matrix file")
     return _loadtxt(lines, "matrix file", delimiter=",")
+
+
+def _is_number(cell: str) -> bool:
+    """Whether one CSV cell reads as a float by the matrix file parser."""
+    try:
+        return bool(cell.strip()) and _loadtxt([cell], "matrix file", delimiter=",").size == 1
+    except ValueError:
+        return False
 
 
 def write_product_csv(p: np.ndarray, fh: IO[str]) -> None:

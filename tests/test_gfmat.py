@@ -1,26 +1,35 @@
-"""Tests for exact F_b linear algebra."""
+"""Tests for the F_b value type, is_prime and the echelon rank that rho runs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rednets.gfmat import (
-    FieldMatrix,
-    is_prime,
+from oracles import (
+    from_rows,
+    identity,
     mat_vec,
-    rank,
+    matmul,
+    matpow,
     rank_generic,
+    row,
+    rows,
     stack_rows,
+    transpose,
+    zeros,
 )
+from rednets.gfmat import FieldMatrix, _rank_form, _rank_rows, is_prime
 
-PAPER_C2 = FieldMatrix.from_rows(
-    2, [(1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1)]
-)
+PAPER_C2 = from_rows(2, [(1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1)])
+
+
+def rank(mat):
+    """The rank that rho runs: echelon insertion of packed or digit rows."""
+    return _rank_rows(_rank_form(rows(mat), mat.base), mat.base)
 
 
 @st.composite
-def field_matrices(draw, bases=(2, 3, 5), max_dim=6):
+def field_matrices(draw, bases=(2, 3, 5, 7), max_dim=6):
     b = draw(st.sampled_from(bases))
     r = draw(st.integers(1, max_dim))
     c = draw(st.integers(1, max_dim))
@@ -64,7 +73,7 @@ def test_field_matrix_base_is_a_prime_below_2_pow_63():
     # a bound rather than by the test; 2^89 - 1 is prime but beyond it.
     below = next(n for n in range(2**63 - 1, 2**63 - 100, -1) if is_prime(n))
     above = next(n for n in range(2**63, 2**63 + 100) if is_prime(n))
-    assert FieldMatrix.identity(below, 2).entries == (1, 0, 0, 1)
+    assert identity(below, 2).entries == (1, 0, 0, 1)
     for base in (above, 2**89 - 1):
         with pytest.raises(ValueError, match=r"prime below 2\^63"):
             FieldMatrix(base, 1, 1, (0,))
@@ -82,11 +91,11 @@ def test_construction_rejects_bad_inputs():
 
 
 def test_rank_identity():
-    assert rank(FieldMatrix.identity(2, 4)) == 4
+    assert rank(identity(2, 4)) == 4
 
 
 def test_rank_zero_matrix():
-    assert rank(FieldMatrix.zeros(2, 4, 4)) == 0
+    assert rank(zeros(2, 4, 4)) == 0
 
 
 def test_rank_paper_matrix():
@@ -95,13 +104,13 @@ def test_rank_paper_matrix():
 
 
 def test_rank_zero_row_matrix():
-    assert rank(FieldMatrix.from_rows(2, [], n_cols=3)) == 0
+    assert rank(from_rows(2, [], n_cols=3)) == 0
 
 
 def test_stack_rows_examples():
-    i4 = FieldMatrix.identity(2, 4)
+    i4 = identity(2, 4)
     stacked = stack_rows([(i4, 2), (PAPER_C2, 1)])
-    assert stacked.rows() == [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1)]
+    assert rows(stacked) == [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1)]
 
     empty = stack_rows([(i4, 0), (PAPER_C2, 0)])
     assert empty.n_rows == 0 and empty.n_cols == 4
@@ -109,41 +118,23 @@ def test_stack_rows_examples():
     assert stack_rows([(PAPER_C2, 4)]) == PAPER_C2
 
 
-def test_stack_rows_rejects_mismatch():
-    with pytest.raises(ValueError):
-        stack_rows([(FieldMatrix.identity(2, 3), 1), (PAPER_C2, 1)])
-    with pytest.raises(ValueError):
-        stack_rows([(FieldMatrix.identity(3, 4), 1), (PAPER_C2, 1)])
-    with pytest.raises(ValueError):
-        stack_rows([(PAPER_C2, 5)])
-    with pytest.raises(ValueError):
-        stack_rows([])
-
-
 def test_mat_vec_examples():
-    i4 = FieldMatrix.identity(2, 4)
+    i4 = identity(2, 4)
     assert mat_vec(i4, (1, 0, 1, 0)) == (1, 0, 1, 0)
     # hand sum of the first two columns of the paper matrix mod 2
     assert mat_vec(PAPER_C2, (1, 1, 0, 0)) == (0, 1, 0, 0)
     assert mat_vec(PAPER_C2, (0, 0, 0, 0)) == (0, 0, 0, 0)
 
 
-def test_mat_vec_rejects_bad_vectors():
-    with pytest.raises(ValueError):
-        mat_vec(PAPER_C2, (1, 0, 1))
-    with pytest.raises(ValueError):
-        mat_vec(PAPER_C2, (1, 0, 1, 2))
-
-
 def test_matmul_and_matpow():
-    assert PAPER_C2.matpow(0) == FieldMatrix.identity(2, 4)
-    assert PAPER_C2.matpow(1) == PAPER_C2
-    assert PAPER_C2.matmul(PAPER_C2) == PAPER_C2.matpow(2)
+    assert matpow(PAPER_C2, 0) == identity(2, 4)
+    assert matpow(PAPER_C2, 1) == PAPER_C2
+    assert matmul(PAPER_C2, PAPER_C2) == matpow(PAPER_C2, 2)
 
 
 @given(field_matrices())
 def test_rank_equals_rank_of_transpose(mat):
-    assert rank(mat) == rank(mat.transpose())
+    assert rank(mat) == rank(transpose(mat))
 
 
 @given(field_matrices())
@@ -177,16 +168,14 @@ def test_mat_vec_is_linear(mat, data):
 
 
 @settings(max_examples=50)
-@given(st.sampled_from([2, 3, 5]), st.integers(2, 6), st.data())
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 6), st.data())
 def test_stack_of_independent_selections_has_full_rank(base, n, data):
     # rows of the identity are independent however they are split
-    ident = FieldMatrix.identity(base, n)
+    ident = identity(base, n)
     d1 = data.draw(st.integers(0, n))
     d2 = n - d1
     top = ident
-    bottom = FieldMatrix.from_rows(
-        base, [ident.row(i) for i in range(n - 1, -1, -1)]
-    )
+    bottom = from_rows(base, [row(ident, i) for i in range(n - 1, -1, -1)])
     stacked = stack_rows([(top, d1), (bottom, d2)])
     # first d1 rows e_1.. and last rows e_n, e_{n-1}, ... overlap only if
     # d1 + d2 > n; here they partition exactly when counts are complementary

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
+from oracles import from_rows
 from rednets.cli import main
 from rednets.product import (
     _A,
@@ -314,7 +315,7 @@ def test_fast_rejection_names_first_offending_matrix_and_column():
     eye = [[int(i == j) for j in range(4)] for i in range(4)]
     bad2 = [[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     bad3 = [[1, 0, 0, 1]] * 4
-    mats = tuple(rn.FieldMatrix.from_rows(2, rows) for rows in (eye, bad2, bad3))
+    mats = tuple(from_rows(2, rows) for rows in (eye, bad2, bad3))
     net = rn.NetSpec.from_matrices(2, 4, mats)
     sched = rn.ReductionSchedule.explicit([0, 2, 7])
     with pytest.raises(ValueError) as err:
@@ -513,6 +514,8 @@ def test_read_matrix_csv_reads_what_float_reads(values, width, fmt):
     "1,2\n3,\n",
     "1,2\n1_0,2\n",
     "1,2\n\u0661,2\n",
+    "1,2x\n1,2\n",
+    "3;4,5\n1,2\n",
 ])
 def test_malformed_matrix_file_is_a_one_line_error_with_exit_2(tmp_path, capsys, text):
     with pytest.raises(ValueError) as err:

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
+from oracles import rank_generic, stack_rows
 from rednets import quality
 from rednets.cli import parse_schedule
-from rednets.gfmat import rank_generic, stack_rows
 from rednets.quality import (
     EnumerationBudgetError,
     _n_compositions,
