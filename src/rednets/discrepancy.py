@@ -56,16 +56,16 @@ class WeightModel:
 
     def __post_init__(self) -> None:
         if self.kind == "const":
-            if not self.param > 0:
-                raise ValueError("constant weight must be positive")
+            if not 0 < self.param < math.inf:
+                raise ValueError("constant weight must be positive and finite")
         elif self.kind == "poly":
-            if self.param < 0:
-                raise ValueError("polynomial decay exponent must be >= 0")
+            if not 0 <= self.param < math.inf:
+                raise ValueError("polynomial decay exponent must be >= 0 and finite")
         elif self.kind == "list":
             if not self.values:
                 raise ValueError("empty weight list")
-            if any(not v > 0 for v in self.values):
-                raise ValueError("weights must be positive")
+            if any(not 0 < v < math.inf for v in self.values):
+                raise ValueError("weights must be positive and finite")
             if any(a < b for a, b in zip(self.values, self.values[1:])):
                 raise ValueError("weights must be nonincreasing")
         else:
@@ -136,8 +136,8 @@ def local_discrepancy(
 ) -> float:
     """Counting error of the anchored box [0, x) projected onto u.
 
-    Counts points with y_j < x_j strictly for all j in u (1-based), divides
-    by b^m, and subtracts the box volume.
+    Counts points with y_j < x_j strictly for all j in u (1-based), exactly
+    on the integer numerators, divides by b^m, and subtracts the box volume.
     """
     u = tuple(int(j) for j in u)
     if not u:
@@ -151,8 +151,8 @@ def local_discrepancy(
     n = points.base**points.m
     mask = np.ones(points.n_points, dtype=bool)
     vol = 1.0
-    for j, xj in zip(u, x):
-        mask &= points.numerators[:, j - 1] / float(n) < xj
+    for j, xj in zip(u, map(float, x)):
+        mask &= points.numerators[:, j - 1] < math.ceil(Fraction(xj) * n)
         vol *= xj
     return int(mask.sum()) / n - vol
 

@@ -270,6 +270,10 @@ def random_net(base: int, m: int, s: int, seed: int) -> NetSpec:
     Entries come from a SplitMix64 stream reduced by rejection sampling, so
     the same (base, m, s, seed) reproduces the same net anywhere.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if s < 1:
+        raise ValueError("s must be >= 1")
     _check_base(base)
     digits = _uniform_digits(seed, s * m * m, base, (1 << 64) - (1 << 64) % base)
     return NetSpec(base, m, digits.reshape(s, m, m), provenance=f"random(seed={seed})")

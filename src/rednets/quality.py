@@ -1,10 +1,10 @@
 """Exact quality analysis of digital nets.
 
-Two routes are provided and kept independent on purpose: rank conditions on
-the generating matrices (the linear independence parameter), and brute-force
-counting of points in elementary intervals.  For a digital net the minimal
-quality parameter t relates to the linear independence parameter rho by
-rho >= m - t, with equality for strict nets.
+Two independent routes, each the other's test oracle: rank conditions on the
+generating matrices (the linear independence parameter rho) and counts of
+points in elementary intervals (the quality parameter t).  A digital net and
+each of its projections is a strict (m - rho, m, s)-net (Niederreiter 1992),
+so t = m - rho, and ``analyze`` runs one of the two routes per number.
 """
 
 from __future__ import annotations
@@ -385,6 +385,7 @@ def analyze(
     The t-values of the unreduced net and of its projections are found by
     brute force (or taken from ``declared_t`` for the full set when present)
     and combined with the reduction indices into per-projection bounds.
+    The reduced net's t is m - rho, and each projection's rho is m - t.
     Projections larger than ``proj_cap`` coordinates are skipped.
     """
     reduced = column_reduce(net, sched)
@@ -398,24 +399,17 @@ def analyze(
     _shapes(red_points, 0, ones, budget)
     base_t = _projection_t(base_points, s, proj_cap, budget)
     red_t = _projection_t(red_points, s, proj_cap, budget)
-
-    def full_t(points: PointBlock, ts: dict[tuple[int, ...], int]) -> int:
-        if proj_cap >= s:
-            return ts[tuple(range(1, s + 1))]
-        lo = max(ts.values(), default=0)
-        return _scan_t(points, range(s), lo, proj_cap >= s - 1, budget)
-
     t_full = net.declared_t
-    if t_full is None:
-        t_full = full_t(base_points, base_t)
-    t_exact = full_t(red_points, red_t)
-    if rho_full < net.m - t_exact:
-        raise AssertionError("rho < m - t contradicts the net property")
+    if t_full is None and proj_cap >= s:
+        t_full = base_t[tuple(range(1, s + 1))]
+    elif t_full is None:
+        lo = max(base_t.values(), default=0)
+        t_full = _scan_t(base_points, range(s), lo, proj_cap >= s - 1, budget)
 
     projections: dict[tuple[int, ...], ProjectionQuality] = {}
     for u, t_u in base_t.items():
         projections[u] = ProjectionQuality(
-            rho=rho(reduced, u, budget=budget),
+            rho=net.m - red_t[u],
             t_exact=red_t[u],
             t_upper=theorem_bounds(t_u, net.m, sched, u).t_upper,
         )
@@ -424,7 +418,7 @@ def analyze(
         m=net.m,
         s=net.s,
         rho=rho_full,
-        t_exact=t_exact,
+        t_exact=net.m - rho_full,
         t_upper=theorem_bounds(t_full, net.m, sched).t_upper,
         projections=projections,
     )

@@ -428,6 +428,27 @@ def test_gen_random_rejects_bad_base_with_exit_2(capsys, base):
     assert err == f"error: base must be a prime below 2^63, got {base}\n"
 
 
+@pytest.mark.parametrize("name", ["m", "s"])
+def test_gen_random_rejects_m_or_s_below_one_with_exit_2(capsys, name):
+    sizes = {"m": "2", "s": "3", name: "0"}
+    code, out, err = run(capsys, "gen", "--b", "2", "--m", sizes["m"],
+                         "--s", sizes["s"], "--source", "random")
+    assert (code, out, err) == (2, "", f"error: {name} must be >= 1\n")
+
+
+@pytest.mark.parametrize("weights", ["poly:nan", "poly:inf", "const:inf", "inf,1,1"])
+def test_disc_bound_rejects_non_finite_weights_with_exit_2(tmp_path, capsys, weights):
+    message = {
+        "poly": "polynomial decay exponent must be >= 0 and finite",
+        "const": "constant weight must be positive and finite",
+    }.get(weights.split(":")[0], "weights must be positive and finite")
+    net = tmp_path / "net.txt"
+    run(capsys, "gen", "--b", "2", "--m", "4", "--s", "2", "--out", str(net))
+    code, out, err = run(capsys, "disc-bound", "--net", str(net),
+                         "--w", "explicit:0,1", "--weights", weights)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_tvalue_on_a_net_with_a_huge_prime_base_is_rejected_before_allocating(
     tmp_path, capsys
 ):

@@ -125,6 +125,30 @@ def test_local_discrepancy_near_zero_anchor():
     assert val == pytest.approx(zeros / 8, abs=1e-10)
 
 
+def test_local_discrepancy_counts_a_point_on_a_grid_value_below_the_float_x():
+    # the float 0.2 lies just above 1/5, so the point 1/5 is inside [0, 0.2)
+    blk = rn.PointBlock(5, 1, [[0], [1], [2], [3], [4]])
+    assert Fraction(0.2) > Fraction(1, 5)
+    assert rn.local_discrepancy(blk, (1,), (0.2,)) == 2 / 5 - 0.2
+    # the float 0.6 lies just below 3/5, so the point 3/5 is outside
+    assert Fraction(0.6) < Fraction(3, 5)
+    assert rn.local_discrepancy(blk, (1,), (0.6,)) == 3 / 5 - 0.6
+    # a numpy float32 anchor gives the same Python float as its value
+    assert rn.local_discrepancy(blk, (1,), (np.float32(0.5),)) == 3 / 5 - 0.5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.integers(0, 2**32),
+       st.data())
+def test_local_discrepancy_matches_an_exact_count_on_grid_anchors(b, m, seed, data):
+    pts = rn.generate_points(rn.random_net(b, m, 2, seed=seed))
+    n = b**m
+    x = [data.draw(st.integers(1, n)) / n for _ in range(2)]
+    inside = sum(all(Fraction(int(v), n) < Fraction(xj) for v, xj in zip(row, x))
+                 for row in pts.numerators)
+    assert rn.local_discrepancy(pts, (1, 2), x) == inside / n - x[0] * x[1]
+
+
 def test_local_discrepancy_validates_x():
     pts = rn.generate_points(rn.pascal_net(2, 2, 2))
     with pytest.raises(ValueError):

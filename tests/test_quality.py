@@ -392,12 +392,13 @@ def test_theorem_sandwich_holds_per_projection(m):
 @settings(max_examples=40, deadline=None)
 @given(small_nets())
 def test_strict_t_equals_m_minus_rho_for_digital_nets(net):
-    m = net.m
-    r = rn.rho(net)
-    t = rn.strict_t(rn.generate_points(net))
-    assert t <= m - r  # net property from the rank condition
-    assert r >= m - t  # rank condition from the net property
-    assert t == m - r
+    m, points = net.m, rn.generate_points(net)
+    for u in subsets(net.s):
+        r = rn.rho(net, u)
+        t = rn.strict_t(points, u)
+        assert t <= m - r, u  # net property from the rank condition
+        assert r >= m - t, u  # rank condition from the net property
+        assert t == m - r, u
 
 
 # --- report ------------------------------------------------------------------
@@ -501,6 +502,32 @@ def test_passing_inner_scan_checks_only_all_positive_shapes(net):
             quality._cells_balanced = real
         assert len(checked) == (math.comb(m - t - 1, k - 1) if t < m else 0)
         assert all(min(shape) >= 1 and sum(shape) == m - t for shape in checked)
+
+
+def test_analyze_scans_rho_once_and_never_counts_the_reduced_full_set(monkeypatch):
+    rho_calls, scanned = [], []
+    real_rho, real_scan = quality.rho, quality._scan_t
+
+    def counting_rho(net, u=None, **kw):
+        rho_calls.append(u)
+        return real_rho(net, u, **kw)
+
+    def counting_scan(points, cols, *args):
+        scanned.append(len(cols))
+        return real_scan(points, cols, *args)
+
+    monkeypatch.setattr(quality, "rho", counting_rho)
+    monkeypatch.setattr(quality, "_scan_t", counting_scan)
+    # a declared t skips the unreduced full set, so with cap 2 < s = 4 no
+    # scan may count all four coordinates
+    net = rn.NetSpec(2, 6, rn.random_net(2, 6, 4, seed=5).digits, declared_t=2)
+    sched = rn.ReductionSchedule.explicit([0, 1, 2, 3])
+    report = rn.analyze(net, sched, proj_cap=2)
+    assert rho_calls == [None]
+    assert len(report.projections) == 10 and max(scanned) == 2
+    rho_calls.clear()
+    assert len(rn.analyze(net, sched, proj_cap=4).projections) == 15
+    assert rho_calls == [None]
 
 
 def test_analyze_matches_the_recorded_benchmark_reports():
