@@ -60,6 +60,8 @@ BENCH_CSV_FIELDS = (
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
+    if raw and not raw.strip().isdecimal():
+        raise ValueError(f"{name} must be a nonnegative integer, got {raw!r}")
     return int(raw) if raw else default
 
 

@@ -180,8 +180,10 @@ def exact_star_discrepancy(
     distinct point coordinates and 1: at each corner both one-sided limits
     are evaluated (the strict inequality in the counting means the value
     from above uses closed counts, the value at the corner open counts).
-    All comparisons are integer-exact; cost and the budget are measured in
-    grid corners, which grow as N^|u|, while memory grows as N^(|u|-1).
+    All comparisons are integer-exact; the budget counts grid corners,
+    which grow as N^|u|, while memory grows as N^(|u|-1).  Each slice is
+    evaluated only on the block its points changed (the critical-box
+    pruning of Dobkin, Eppstein and Mitchell, ACM TOG 1996).
     """
     u = _normalize_subset(u, points.s)
     d = len(u)
@@ -208,46 +210,52 @@ def exact_star_discrepancy(
     plane_idx = np.array(idx[1:], dtype=np.intp).reshape(d - 1, points.n_points)
     order = np.argsort(idx[0], kind="stable")
     starts = np.searchsorted(idx[0][order], np.arange(grids[0].size + 1))
-    plane = tuple(g.size for g in grids[1:])
-    plane_vol = np.ones(plane, dtype=np.int64)
-    for axis, g in enumerate(grids[1:]):
-        shape = [1] * (d - 1)
-        shape[axis] = -1
-        plane_vol = plane_vol * g.reshape(shape)
+    # plane_vol is the outer product of the plane axes' grid values.
+    plane_vol = math.prod(np.ix_(*grids[1:]), start=np.ones((), dtype=np.int64))
+    closed = np.zeros(plane_vol.shape, dtype=np.int64)
+    buf = np.empty(plane_vol.size, dtype=np.int64)
+
+    def deviation(lo: list[int], g0: int, closed_side: bool) -> int:
+        """Largest closed - vol, or vol - open, over the corners above lo."""
+        first, stop = (0, None) if closed_side else (1, -1)
+        corners = tuple(slice(k + first, None) for k in lo) + (...,)
+        counts = closed[tuple(slice(k, stop) for k in lo) + (...,)]
+        out = buf[: counts.size].reshape(counts.shape)
+        np.subtract(np.multiply(plane_vol[corners], g0, out=out), counts, out=out)
+        return -int(out.min(initial=0)) if closed_side else int(out.max(initial=0))
+
     # Open counts #{y < corner} are the previous slice's closed counts one
     # grid step back along every plane axis (coordinates sit exactly on
     # grid values).  Corners on the low edge of the plane have none, so
-    # their deviation is the volume, largest at the edge's far corner.
-    inner = (slice(1, None),) * (d - 1)
-    below = (slice(None, -1),) * (d - 1)
-    edge = np.ones(plane, dtype=bool)
-    edge[inner] = False
-    edge_vol = int(np.where(edge, plane_vol, 0).max())
-    closed = np.zeros(plane, dtype=np.int64)
-    best = 0
-    for i, g0 in enumerate(grids[0]):
-        vol = plane_vol * g0
-        dev_minus = np.max(vol[inner] - closed[below], initial=0)
-        best = max(best, int(g0) * edge_vol, int(dev_minus))
+    # their deviation is the volume, largest at b^m on every other axis.
+    best = scale * max((int(g[0]) for g in grids[1:]), default=0)
+    # A slice raises closed - vol only on the block its points update (above
+    # their lowest corner lo), and vol - open is highest just before a point
+    # enters the orthant one step below the corner (so above lo) or at the
+    # last slice, which holds no point.  Trailing Ellipses keep 0-d views.
+    for i in np.flatnonzero(np.diff(starts)).tolist():
+        g0 = int(grids[0][i])
         at = plane_idx[:, order[starts[i] : starts[i + 1]]]
+        lo = at.min(axis=1)
+        best = max(best, deviation(lo.tolist(), g0, False))
+        block = tuple(slice(k, None) for k in lo.tolist()) + (...,)
         if at.shape[1] == 1:
             # Distinct first coordinates, as in every full block of a net
             # with nonsingular matrices, give one point per slice; adding
             # to its orthant takes half the time of the histogram below.
-            closed[tuple(slice(k, None) for k in at[:, 0].tolist())] += scale
-        elif at.shape[1] > 1:
+            closed[block] += scale
+        else:
             # Histogram the slice's points over the block above their lowest
             # corner and prefix-sum it along every axis.  The leading length-1
             # axis gives np.add.at an index array even for a 0-d plane.
-            lo = at.min(axis=1)
-            block = tuple(slice(k, None) for k in lo.tolist())
             hist = np.zeros(closed[block].shape, dtype=np.int64)
             cells = (np.zeros(at.shape[1], dtype=np.intp),) + tuple(at - lo[:, None])
             np.add.at(hist[None], cells, scale)
             for axis in range(d - 1):
                 hist = np.cumsum(hist, axis=axis)
             closed[block] += hist
-        best = max(best, int(np.max(closed - vol)))
+        best = max(best, deviation(lo.tolist(), g0, True))
+    best = max(best, deviation([0] * (d - 1), n_full, False))
     return best / float(n_full**d)
 
 
@@ -343,6 +351,8 @@ def global_disc_bound(
     """
     if sched.s != s:
         raise ValueError("schedule length does not match s")
+    if proj_cap < 1:
+        raise ValueError(f"proj_cap must be >= 1, got {proj_cap}")
     s_star = sched.s_star(m)
     g = weights.gammas(s)
     bm = float(base) ** m

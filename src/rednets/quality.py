@@ -388,6 +388,8 @@ def analyze(
     The reduced net's t is m - rho, and each projection's rho is m - t.
     Projections larger than ``proj_cap`` coordinates are skipped.
     """
+    if proj_cap < 0:
+        raise ValueError(f"proj_cap must be >= 0, got {proj_cap}")
     reduced = column_reduce(net, sched)
     base_points = generate_points(net)
     red_points = generate_points(reduced)

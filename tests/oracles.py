@@ -3,14 +3,19 @@
 The library computes on one digit array per net; these are the plain
 integer algorithms on ``FieldMatrix`` values that it replaced: row access,
 products and powers, matrix-vector products, row stacking, rank by
-elimination of a whole digit array, and single net points.  Only tests
-call them, so they trust their inputs.
+elimination of a whole digit array, and single net points.  The exact
+star discrepancy sweep that evaluates its whole plane at every slice is
+kept here too, as the reference for the pruned sweep.  Only tests call
+them, so they trust their inputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
+from rednets.discrepancy import _axis_grids
 from rednets.gfmat import FieldMatrix
 
 
@@ -110,3 +115,67 @@ def point_slow(net, k):
         num = sum(y * b ** (m - 1 - i) for i, y in enumerate(ys))
         out.append(Fraction(num, b**m))
     return tuple(out)
+
+
+def star_disc_plane_sweep(points, u):
+    """Exact star discrepancy by the integer plane sweep that evaluates
+    both deviations over the whole plane at every slice.
+
+    u is a tuple of 1-based coordinates, 1 <= len(u) <= 3, and b^m <= 4096.
+    """
+    d = len(u)
+    n_full = points.base**points.m
+    cols = [j - 1 for j in u]
+    grids = _axis_grids(points, cols)
+
+    # Walk the first axis in order, keeping one plane over the remaining
+    # axes: after slice i it holds the closed counts #{y <= corner} of the
+    # corners with first coordinate grids[0][i], scaled to the common
+    # denominator b^(m d).  Memory is O(N^(d-1)), not O(N^d).  Numerators
+    # fit in int64 for b^m <= 4096 and d <= 3.
+    scale = n_full ** (d - 1)
+    idx = [np.searchsorted(g, points.numerators[:, c]) for g, c in zip(grids, cols)]
+    plane_idx = np.array(idx[1:], dtype=np.intp).reshape(d - 1, points.n_points)
+    order = np.argsort(idx[0], kind="stable")
+    starts = np.searchsorted(idx[0][order], np.arange(grids[0].size + 1))
+    plane = tuple(g.size for g in grids[1:])
+    plane_vol = np.ones(plane, dtype=np.int64)
+    for axis, g in enumerate(grids[1:]):
+        shape = [1] * (d - 1)
+        shape[axis] = -1
+        plane_vol = plane_vol * g.reshape(shape)
+    # Open counts #{y < corner} are the previous slice's closed counts one
+    # grid step back along every plane axis (coordinates sit exactly on
+    # grid values).  Corners on the low edge of the plane have none, so
+    # their deviation is the volume, largest at the edge's far corner.
+    inner = (slice(1, None),) * (d - 1)
+    below = (slice(None, -1),) * (d - 1)
+    edge = np.ones(plane, dtype=bool)
+    edge[inner] = False
+    edge_vol = int(np.where(edge, plane_vol, 0).max())
+    closed = np.zeros(plane, dtype=np.int64)
+    best = 0
+    for i, g0 in enumerate(grids[0]):
+        vol = plane_vol * g0
+        dev_minus = np.max(vol[inner] - closed[below], initial=0)
+        best = max(best, int(g0) * edge_vol, int(dev_minus))
+        at = plane_idx[:, order[starts[i] : starts[i + 1]]]
+        if at.shape[1] == 1:
+            # Distinct first coordinates, as in every full block of a net
+            # with nonsingular matrices, give one point per slice; adding
+            # to its orthant takes half the time of the histogram below.
+            closed[tuple(slice(k, None) for k in at[:, 0].tolist())] += scale
+        elif at.shape[1] > 1:
+            # Histogram the slice's points over the block above their lowest
+            # corner and prefix-sum it along every axis.  The leading length-1
+            # axis gives np.add.at an index array even for a 0-d plane.
+            lo = at.min(axis=1)
+            block = tuple(slice(k, None) for k in lo.tolist())
+            hist = np.zeros(closed[block].shape, dtype=np.int64)
+            cells = (np.zeros(at.shape[1], dtype=np.intp),) + tuple(at - lo[:, None])
+            np.add.at(hist[None], cells, scale)
+            for axis in range(d - 1):
+                hist = np.cumsum(hist, axis=axis)
+            closed[block] += hist
+        best = max(best, int(np.max(closed - vol)))
+    return best / float(n_full**d)

@@ -184,6 +184,30 @@ def test_exit_code_3_on_budget_exhaustion(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+
+@pytest.mark.parametrize("raw", ["abc", "1e6", "-3"])
+def test_malformed_or_negative_budget_variable_exits_2(tmp_path, capsys, monkeypatch, raw):
+    net = tmp_path / "net.txt"
+    run(capsys, "gen", "--b", "2", "--m", "4", "--s", "2", "--out", str(net))
+    monkeypatch.setenv("REDNETS_ENUM_BUDGET", raw)
+    for argv in (["tvalue"], ["report", "--w", "explicit:0,1"]):
+        code, out, err = run(capsys, *argv, "--net", str(net))
+        assert (code, out) == (2, "")
+        assert err == f"error: REDNETS_ENUM_BUDGET must be a nonnegative integer, got {raw!r}\n"
+
+
+@pytest.mark.parametrize("cmd,cap,floor", [
+    (["disc-bound", "--weights", "const:1"], "0", 1),
+    (["report"], "-2", 0),
+])
+def test_proj_cap_below_range_exits_2(tmp_path, capsys, cmd, cap, floor):
+    net = tmp_path / "net.txt"
+    run(capsys, "gen", "--b", "2", "--m", "4", "--s", "2", "--out", str(net))
+    code, out, err = run(capsys, *cmd, "--net", str(net), "--w", "explicit:0,1",
+                         "--proj-cap", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: proj_cap must be >= {floor}, got {cap}\n"
+
 # exit-3 diagnostics of b=2 m=10 s=5 random nets under the log schedule and
 # the default cap, recorded before the projection scans were seeded
 DISC_BOUND_EXIT_3 = {

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
+from oracles import star_disc_plane_sweep
 from rednets.quality import EnumerationBudgetError
 
 
@@ -235,7 +236,8 @@ def test_star_disc_matches_fraction_oracle_over_bases(base, d, data):
 
 
 def test_star_disc_memory_stays_below_one_plane_of_corners():
-    # 257^3 int64 corner counts would take 136 MB; one 257^2 plane is 0.5 MB.
+    # 257^3 int64 corner counts would take 136 MB; one 257^2 plane is 0.5 MB,
+    # and the sweep keeps a few of them: volumes, counts and one buffer.
     pts = rn.generate_points(rn.pascal_net(2, 8, 3))
     tracemalloc.start()
     try:
@@ -243,7 +245,56 @@ def test_star_disc_memory_stays_below_one_plane_of_corners():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 8 * 257**2 * 8
+
+
+def _nonempty_subsets(s):
+    return [u for d in range(1, s + 1) for u in combinations(range(1, s + 1), d)]
+
+
+def test_star_disc_matches_full_plane_sweep_on_benchmark_block():
+    pts = rn.generate_points(rn.pascal_net(2, 8, 3))
+    for u in _nonempty_subsets(3):
+        assert rn.exact_star_discrepancy(pts, u) == star_disc_plane_sweep(pts, u)
+
+
+@pytest.mark.parametrize("base,m", [(2, 6), (3, 4), (5, 2), (7, 2)])
+def test_star_disc_matches_full_plane_sweep_on_random_nets(base, m):
+    for seed in range(3):
+        net = rn.random_net(base, m, 3, seed=seed)
+        for first_digits in (m, m - 1, 0):
+            pts = rn.generate_points(net, first_digits)
+            for u in _nonempty_subsets(3):
+                got = rn.exact_star_discrepancy(pts, u)
+                assert got == star_disc_plane_sweep(pts, u), (seed, first_digits, u)
+
+
+@pytest.mark.parametrize("base,m", [(2, 4), (3, 3), (5, 2), (7, 2)])
+def test_star_disc_matches_full_plane_sweep_on_arbitrary_blocks(base, m):
+    # three nonzero values per axis, so coordinates repeat and no point is 0
+    rng = np.random.default_rng(base)
+    for n in (0, 1, 2, 5, 17, base**m):
+        values = rng.choice(np.arange(1, base**m), size=3, replace=False)
+        pts = rn.PointBlock(base, m, values[rng.integers(0, 3, size=(n, 3))])
+        for u in _nonempty_subsets(3):
+            got = rn.exact_star_discrepancy(pts, u)
+            assert got == star_disc_plane_sweep(pts, u), (n, u)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.data())
+def test_star_disc_matches_full_plane_sweep_hypothesis(base, d, data):
+    m = data.draw(st.integers(1, {2: 7, 3: 4, 5: 3, 7: 2}[base]))
+    seed = data.draw(st.integers(0, 2**32))
+    if data.draw(st.booleans()):
+        net = rn.random_net(base, m, 3, seed=seed)
+        pts = rn.generate_points(net, data.draw(st.sampled_from([m, m - 1, 0])))
+    else:
+        n = data.draw(st.integers(0, base**m))
+        hi = data.draw(st.integers(1, base**m))
+        pts = rn.PointBlock(base, m, np.random.default_rng(seed).integers(0, hi, size=(n, 3)))
+    u = tuple(sorted(data.draw(st.sets(st.integers(1, 3), min_size=d, max_size=d))))
+    assert rn.exact_star_discrepancy(pts, u) == star_disc_plane_sweep(pts, u)
 
 
 def test_local_discrepancy_reads_only_the_columns_in_u():
