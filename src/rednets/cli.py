@@ -24,6 +24,7 @@ from .discrepancy import WeightModel, global_disc_bound
 from .nets import (
     NetSpec,
     ReductionSchedule,
+    _check_block,
     _check_entries,
     column_reduce,
     generate_points,
@@ -167,8 +168,8 @@ def _cmd_disc_bound(args: argparse.Namespace) -> int:
     sched = parse_schedule(args.w, net.s, net.base, net.m)
     weights = WeightModel.parse(args.weights)
     budget = _env_int("REDNETS_ENUM_BUDGET", DEFAULT_BUDGET)
-    points = generate_points(net)
-    t_map = _projection_t(points, sched.s_star(net.m), args.proj_cap, budget)
+    _check_block(net.base, net.m, net.m, net.s)
+    t_map = _projection_t(net, sched.s_star(net.m), args.proj_cap, budget)
     bound = global_disc_bound(
         t_map, sched, weights, net.base, net.m, net.s,
         proj_cap=args.proj_cap, budget=budget,

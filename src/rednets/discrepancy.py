@@ -140,10 +140,8 @@ def local_discrepancy(
     on the integer numerators, divides by b^m, and subtracts the box volume.
     """
     u = tuple(int(j) for j in u)
-    if not u:
-        raise ValueError("subset must be nonempty")
-    if any(not 1 <= j <= points.s for j in u):
-        raise ValueError(f"subset indices must lie in [1, {points.s}]")
+    if len(_normalize_subset(u, points.s)) != len(u):
+        raise ValueError("subset indices must be distinct")
     if len(x) != len(u):
         raise ValueError("x must have one entry per coordinate in u")
     if any(not 0.0 < xj <= 1.0 for xj in x):

@@ -344,6 +344,13 @@ def _check_entries(count: int, what: str) -> None:
         raise ValueError(f"{what} of {count} entries exceeds the limit of {_MAX_ENTRIES}")
 
 
+def _check_block(base: int, m: int, n_digits: int, k: int) -> None:
+    """Raise ValueError unless a (b^n_digits, k) block of numerators over b^m fits."""
+    if base**m >= 1 << 62:
+        raise ValueError("b^m too large for exact 64-bit numerators")
+    _check_entries(base**n_digits * k, "point block")
+
+
 def coordinate_numerators(digits: np.ndarray, base: int, n_digits: int) -> np.ndarray:
     """Numerators of k coordinates over the first base^n_digits indices.
 
@@ -362,9 +369,7 @@ def coordinate_numerators(digits: np.ndarray, base: int, n_digits: int) -> np.nd
     m = c.shape[1]
     if not 0 <= n_digits <= m:
         raise ValueError("n_digits outside [0, m]")
-    if base**m >= 1 << 62:
-        raise ValueError("b^m too large for exact 64-bit numerators")
-    _check_entries(base**n_digits * c.shape[0], "point block")
+    _check_block(base, m, n_digits, c.shape[0])
     if c.min() < 0 or c.max() >= base:
         raise ValueError(f"digits outside [0, {base})")
     c = c.astype(np.uint8 if base < 128 else np.uint64, copy=False)

@@ -1,30 +1,25 @@
 """Exact quality analysis of digital nets.
 
-Two independent routes, each the other's test oracle: rank conditions on the
-generating matrices (the linear independence parameter rho) and counts of
-points in elementary intervals (the quality parameter t).  A digital net and
-each of its projections is a strict (m - rho, m, s)-net (Niederreiter 1992),
-so t = m - rho, and ``analyze`` runs one of the two routes per number.
+Two independent routes, each the other's test oracle: ranks of stacked rows of
+the generating matrices (the linear independence parameter rho) and counts of
+points in elementary intervals (the quality parameter t of a point block).  A
+shape's cells are balanced exactly when its rows have full rank (Niederreiter
+1992), so t = m - rho for a digital net, and ``analyze`` works by rank alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .gfmat import _rank_form, _rank_rows
-from .nets import (
-    NetSpec,
-    PointBlock,
-    ReductionSchedule,
-    column_reduce,
-    generate_points,
-)
+from .nets import NetSpec, PointBlock, ReductionSchedule, _check_block, column_reduce
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -124,13 +119,27 @@ def rho(
         raise EnumerationBudgetError(
             f"rho enumeration needs ~{work} work units, budget is {budget}"
         )
-    rows = [_rank_form(net.digits[j - 1].tolist(), net.base) for j in u]
+    cols = [j - 1 for j in u]
+    independent = _rank_check(net, cols)
     for r in range(1, m + 1):
-        for d in compositions(r, ones):
-            stacked = [row for mat, dj in zip(rows, d) for row in mat[:dj]]
-            if _rank_rows(stacked, net.base) != r:
-                return r - 1
+        if not independent(cols, compositions(r, ones), m - r):
+            return r - 1
     return m
+
+
+def _rank_check(net: NetSpec, cols: Iterable[int]) -> Callable[..., bool]:
+    """The test ``(cols, shapes, t)`` of :func:`_cells_balanced` by rank: the
+    cell of an index under depths d is the stacked first d_j rows of each C_j
+    times its digits, a linear map, so the b^(m-t) cells hold b^t points each
+    iff those m - t rows are independent (Dick-Pillichshammer 2010, ch. 4)."""
+    base = net.base
+    rows = {c: _rank_form(net.digits[c].tolist(), base) for c in cols}
+
+    def independent(cols, shapes, t):
+        stacks = ([r for c, d in zip(cols, ds) for r in rows[c][:d]] for ds in shapes)
+        return all(_rank_rows(stack, base) == len(stack) for stack in stacks)
+
+    return independent
 
 
 @dataclass(frozen=True)
@@ -213,40 +222,40 @@ def _cells_balanced(
 
 
 def _shapes(
-    points: PointBlock, t: int, steps: Sequence[int], budget: int
+    block: PointBlock | NetSpec, t: int, steps: Sequence[int], budget: int
 ) -> Iterator[tuple[int, ...]]:
     """The :func:`compositions` of m - t, after checking t and the full
-    block and counting them against the budget before any is built."""
-    m = points.m
+    block or net and counting them against the budget before any is built."""
+    m = block.m
     if not 0 <= t <= m:
         raise ValueError("need 0 <= t <= m")
-    if points.n_points != points.base**m:
+    if block.n_points != block.base**m:
         raise ValueError("verification needs the full b^m-point block")
     n_shapes = _n_compositions(m - t, steps)[m - t]
-    if n_shapes * points.n_points > budget:
+    if n_shapes * block.n_points > budget:
         raise EnumerationBudgetError(
-            f"{n_shapes} interval shapes x {points.n_points} points "
+            f"{n_shapes} interval shapes x {block.n_points} points "
             f"exceeds budget {budget}"
         )
     return compositions(m - t, steps)
 
 
 def _scan_t(
-    points: PointBlock, cols: Sequence[int], lo: int, inner: bool, budget: int
+    block: PointBlock | NetSpec, cols: Sequence[int], lo: int, inner: bool,
+    budget: int, balanced: Callable[..., bool],
 ) -> int:
-    """Smallest t >= lo at which every shape over ``cols`` is balanced.
+    """Smallest t >= lo at which ``balanced(cols, shapes, t)`` holds.
 
     Only the largest shape count, at t = 0, meets the budget.  ``inner``
     checks only shapes with all depths >= 1: the others are shapes of
     proper subsets of ``cols``, which the caller has verified at some
     t <= lo, and a (t, m, s)-net is also a (t + 1, m, s)-net."""
-    m, ones = points.m, (1,) * len(cols)
-    _shapes(points, 0, ones, budget)  # the checks only
-    lead: dict[tuple[int, int], np.ndarray] = {}
+    m, ones = block.m, (1,) * len(cols)
+    _shapes(block, 0, ones, budget)  # the checks only
     for t in range(lo, m + 1):
         total = m - t - len(cols) * inner  # inner shapes: 1 + each composition
         shapes = (tuple(d + inner for d in c) for c in compositions(total, ones))
-        if total < 0 or _cells_balanced(points, cols, shapes, t, lead):
+        if total < 0 or balanced(cols, shapes, t):
             return t
     raise AssertionError("t = m always verifies; unreachable")
 
@@ -277,7 +286,8 @@ def strict_t(
 ) -> int:
     """Smallest t for which the net property holds (scan t = 0, 1, ..., m)."""
     u = _normalize_subset(u, points.s)
-    return _scan_t(points, [j - 1 for j in u], 0, False, budget)
+    balanced = partial(_cells_balanced, points, lead={})
+    return _scan_t(points, [j - 1 for j in u], 0, False, budget, balanced)
 
 
 def verify_tmes_net(
@@ -313,17 +323,18 @@ def _subsets(n: int, sizes: range, budget: int) -> Iterator[tuple[int, ...]]:
 
 
 def _projection_t(
-    points: PointBlock, n_coords: int, cap: int, budget: int
+    net: NetSpec, n_coords: int, cap: int, budget: int
 ) -> dict[tuple[int, ...], int]:
-    """t of every subset of 1..n_coords with at most ``cap`` members.
+    """t of every subset of 1..n_coords with at most ``cap`` members, by rank.
 
     Subsets come by size.  t_v <= t_u for v in u (a projection of a
     (t, m, s)-net is a (t, m, |v|)-net), so the scan of u starts at the
     largest t of u minus one index and checks only all-positive shapes."""
     ts: dict[tuple[int, ...], int] = {}
+    independent = _rank_check(net, range(n_coords))
     for u in _subsets(n_coords, range(1, min(cap, n_coords) + 1), budget):
         lo = max(ts.get(u[:i] + u[i + 1 :], 0) for i in range(len(u)))
-        ts[u] = _scan_t(points, [j - 1 for j in u], lo, True, budget)
+        ts[u] = _scan_t(net, [j - 1 for j in u], lo, True, budget, independent)
     return ts
 
 
@@ -354,22 +365,9 @@ class QualityReport:
 
     def to_json(self) -> str:
         """Stable JSON rendering; subset keys become comma-joined strings."""
-        payload = {
-            "base": self.base,
-            "m": self.m,
-            "s": self.s,
-            "rho": self.rho,
-            "t_exact": self.t_exact,
-            "t_upper": self.t_upper,
-            "projections": {
-                ",".join(str(j) for j in u): {
-                    "rho": q.rho,
-                    "t_exact": q.t_exact,
-                    "t_upper": q.t_upper,
-                }
-                for u, q in self.projections.items()
-            },
-        }
+        payload = asdict(self)
+        projections = payload["projections"].items()
+        payload["projections"] = {",".join(map(str, u)): q for u, q in projections}
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -382,39 +380,34 @@ def analyze(
 ) -> QualityReport:
     """Reduce the net and derive its quality report.
 
-    The t-values of the unreduced net and of its projections are found by
-    brute force (or taken from ``declared_t`` for the full set when present)
-    and combined with the reduction indices into per-projection bounds.
+    The t-values of the unreduced net and of its projections come from rank
+    scans, with no point block (or from ``declared_t`` for the full set when
+    present), and combine with the reduction indices into per-projection bounds.
     The reduced net's t is m - rho, and each projection's rho is m - t.
     Projections larger than ``proj_cap`` coordinates are skipped.
     """
     if proj_cap < 0:
         raise ValueError(f"proj_cap must be >= 0, got {proj_cap}")
     reduced = column_reduce(net, sched)
-    base_points = generate_points(net)
-    red_points = generate_points(reduced)
+    # The rank scans stand for cell counts, so the point block's limits hold.
+    _check_block(net.base, net.m, net.m, net.s)
     s, ones = net.s, (1,) * net.s
     # Budget errors come in the order of a plain t = 0 scan of each set.
     if net.declared_t is None:
-        _shapes(base_points, 0, ones, budget)
+        _shapes(net, 0, ones, budget)
     rho_full = rho(reduced, budget=budget)
-    _shapes(red_points, 0, ones, budget)
-    base_t = _projection_t(base_points, s, proj_cap, budget)
-    red_t = _projection_t(red_points, s, proj_cap, budget)
+    _shapes(reduced, 0, ones, budget)
+    base_t = _projection_t(net, s, proj_cap, budget)
+    red_t = _projection_t(reduced, s, proj_cap, budget)
     t_full = net.declared_t
     if t_full is None and proj_cap >= s:
         t_full = base_t[tuple(range(1, s + 1))]
     elif t_full is None:
-        lo = max(base_t.values(), default=0)
-        t_full = _scan_t(base_points, range(s), lo, proj_cap >= s - 1, budget)
+        lo, inner = max(base_t.values(), default=0), proj_cap >= s - 1
+        t_full = _scan_t(net, range(s), lo, inner, budget, _rank_check(net, range(s)))
 
-    projections: dict[tuple[int, ...], ProjectionQuality] = {}
-    for u, t_u in base_t.items():
-        projections[u] = ProjectionQuality(
-            rho=net.m - red_t[u],
-            t_exact=red_t[u],
-            t_upper=theorem_bounds(t_u, net.m, sched, u).t_upper,
-        )
+    t_upper = {u: theorem_bounds(t_u, net.m, sched, u).t_upper for u, t_u in base_t.items()}
+    projections = {u: ProjectionQuality(net.m - t, t, t_upper[u]) for u, t in red_t.items()}
     return QualityReport(
         base=net.base,
         m=net.m,

@@ -485,6 +485,26 @@ def test_tvalue_on_a_net_with_a_huge_prime_base_is_rejected_before_allocating(
     )
 
 
+@pytest.mark.parametrize("cmd", [["report"], ["disc-bound", "--weights", "poly:2"]])
+@pytest.mark.parametrize("net_text,w,entries", [
+    ("2305843009213693951 1 1\n0\n", "explicit:0", 2305843009213693951),
+    (None, "log", 2**20 * 300),
+])
+def test_report_and_disc_bound_refuse_an_oversized_point_block_with_exit_2(
+    tmp_path, capsys, cmd, net_text, w, entries
+):
+    # the rank scans build no block, but keep the limit of the one they stand for
+    net = tmp_path / "net.txt"
+    if net_text is None:
+        assert run(capsys, "gen", "--b", "2", "--m", "20", "--s", "300",
+                   "--out", str(net))[0] == 0
+    else:
+        net.write_text(net_text)
+    code, out, err = run(capsys, *cmd, "--net", str(net), "--w", w)
+    assert (code, out) == (2, "")
+    assert err == f"error: point block of {entries} entries exceeds the limit of 268435456\n"
+
+
 def reduced_net_and_a(tmp_path, capsys, b, m, s, w, tau=20):
     """Reduced random net (seed 1) and a standard normal A (seed 0) as files."""
     net, red, a = tmp_path / "net.txt", tmp_path / "red.txt", tmp_path / "a.csv"

@@ -167,6 +167,16 @@ def test_local_discrepancy_rejects_indices_outside_the_dimension(u):
         rn.local_discrepancy(pts, u, [0.5] * len(u))
 
 
+@pytest.mark.parametrize("u", [(1, 1), (2, 3, 2)])
+def test_local_discrepancy_rejects_a_repeated_index(u):
+    # (1, 1) would multiply x_1 into the volume twice: 0.25 for the 1-d box
+    # [0, 0.5), whose local discrepancy is 0.0
+    pts = rn.generate_points(rn.pascal_net(2, 4, 3))
+    assert rn.local_discrepancy(pts, (1,), (0.5,)) == 0.0
+    with pytest.raises(ValueError, match="subset indices must be distinct"):
+        rn.local_discrepancy(pts, u, [0.5] * len(u))
+
+
 # --- exact star discrepancy -------------------------------------------------------
 
 

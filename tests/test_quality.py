@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 
 import rednets as rn
 from oracles import rank_generic, stack_rows
-from rednets import quality
+from rednets import cli, nets, quality
 from rednets.cli import parse_schedule
 from rednets.quality import (
     EnumerationBudgetError,
+    _cells_balanced,
     _n_compositions,
     _projection_t,
+    _rank_check,
     _scan_t,
     compositions,
 )
@@ -440,7 +443,7 @@ def test_report_json_schema_and_determinism():
 @given(small_nets(s_max=4), st.integers(0, 5))
 def test_projection_t_matches_full_scans(net, cap):
     points = rn.generate_points(net)
-    got = _projection_t(points, net.s, cap, rn.DEFAULT_BUDGET)
+    got = _projection_t(net, net.s, cap, rn.DEFAULT_BUDGET)
     want = {u: rn.strict_t(points, u) for u in subsets(net.s) if len(u) <= cap}
     assert list(got.items()) == list(want.items())
 
@@ -481,27 +484,85 @@ def test_analyze_matches_a_report_from_full_scans(net, data):
     assert got == report_from_full_scans(net, sched, cap)
 
 
+def assert_rank_check_matches_cell_counts(net):
+    """Every shape over every subset, zero depths included, at every t."""
+    points, m = rn.generate_points(net), net.m
+    by_rank, seen = _rank_check(net, range(net.s)), set()
+    for u in subsets(net.s):
+        cols = [j - 1 for j in u]
+        for t in range(m + 1):
+            for shape in compositions(m - t, (1,) * len(u)):
+                ok = by_rank(cols, [shape], t)
+                assert ok == _cells_balanced(points, cols, [shape], t, {}), (u, t, shape)
+                assert ok == cell_counts_ok(points, cols, shape, t), (u, t, shape)
+                seen.add(ok)
+    return seen
+
+
+@pytest.mark.parametrize("base, m", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_rank_check_matches_cell_counts_on_every_shape(base, m):
+    seen = set()
+    for seed in range(3):
+        net = rn.random_net(base, m, 3, seed)
+        for w in ([0, 0, 0], [0, 1, m - 1], [0, m, m]):
+            seen |= assert_rank_check_matches_cell_counts(
+                rn.column_reduce(net, rn.ReductionSchedule.explicit(w))
+            )
+    assert seen == {False, True}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_nets(s_max=4))
+def test_rank_check_matches_cell_counts_on_random_nets(net):
+    assert_rank_check_matches_cell_counts(net)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_nets(s_max=4))
 def test_passing_inner_scan_checks_only_all_positive_shapes(net):
     points, m = rn.generate_points(net), net.m
-    real, checked = quality._cells_balanced, []
+    checked = []
 
-    def counting(points, cols, shapes, t, lead):
-        shapes = list(shapes)
-        checked.extend(shapes)
-        return real(points, cols, shapes, t, lead)
+    def counting(check):
+        def balanced(cols, shapes, t):
+            shapes = list(shapes)
+            checked.extend(shapes)
+            return check(cols, shapes, t)
 
+        return balanced
+
+    routes = [
+        (net, _rank_check(net, range(net.s))),
+        (points, partial(_cells_balanced, points, lead={})),
+    ]
     for u in subsets(net.s):
         t, k = rn.strict_t(points, u), len(u)
-        checked.clear()
-        quality._cells_balanced = counting
-        try:
-            assert _scan_t(points, [j - 1 for j in u], t, True, rn.DEFAULT_BUDGET) == t
-        finally:
-            quality._cells_balanced = real
-        assert len(checked) == (math.comb(m - t - 1, k - 1) if t < m else 0)
-        assert all(min(shape) >= 1 and sum(shape) == m - t for shape in checked)
+        for block, check in routes:
+            checked.clear()
+            cols = [j - 1 for j in u]
+            assert _scan_t(block, cols, t, True, rn.DEFAULT_BUDGET, counting(check)) == t
+            assert len(checked) == (math.comb(m - t - 1, k - 1) if t < m else 0)
+            assert all(min(shape) >= 1 and sum(shape) == m - t for shape in checked)
+
+
+def test_analyze_and_disc_bound_build_no_point_block(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kw):
+        raise AssertionError("point route called")
+
+    for module, name in [(nets, "generate_points"), (nets, "coordinate_numerators"),
+                         (cli, "generate_points"), (quality, "_cells_balanced")]:
+        monkeypatch.setattr(module, name, refuse)
+    net = rn.random_net(3, 4, 4, seed=7)
+    sched = rn.ReductionSchedule.explicit([0, 1, 1, 2])
+    for cap in range(5):
+        rn.analyze(net, sched, proj_cap=cap)
+    path = tmp_path / "net.txt"
+    with open(path, "w") as fh:
+        rn.write_net(net, fh)
+    assert cli.main(["report", "--net", str(path), "--w", "explicit:0,1,1,2"]) == 0
+    assert cli.main(["disc-bound", "--net", str(path), "--w", "explicit:0,1,1,2",
+                     "--weights", "poly:2"]) == 0
+    assert "bound = " in capsys.readouterr().out
 
 
 def test_analyze_scans_rho_once_and_never_counts_the_reduced_full_set(monkeypatch):
@@ -512,9 +573,9 @@ def test_analyze_scans_rho_once_and_never_counts_the_reduced_full_set(monkeypatc
         rho_calls.append(u)
         return real_rho(net, u, **kw)
 
-    def counting_scan(points, cols, *args):
+    def counting_scan(block, cols, *args):
         scanned.append(len(cols))
-        return real_scan(points, cols, *args)
+        return real_scan(block, cols, *args)
 
     monkeypatch.setattr(quality, "rho", counting_rho)
     monkeypatch.setattr(quality, "_scan_t", counting_scan)
