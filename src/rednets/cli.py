@@ -3,9 +3,9 @@ products, discrepancy bounds, and the benchmark harness.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 enumeration budget
 exhausted.  The enumeration budget can be set with REDNETS_ENUM_BUDGET, the
-only environment variable.  Every block the CLI allocates, the benchmark's
-b^m * s point blocks included, is checked against one entry limit, 2^28
-(``nets._MAX_ENTRIES``), before it is allocated.
+only environment variable.  Every block the CLI allocates is checked
+against one entry limit, 2^28 (``nets._MAX_ENTRIES``), before it is
+allocated, and so is a net's b^m * s point block where no command builds it.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from .quality import (
     strict_t,
 )
 
-# Frozen schema; the products are single-threaded, so ``workers`` is always 1.
+# Frozen schema; the products are single-threaded, so ``workers`` is always 1,
+# and each generates its own points, so ``point_gen_ns``/``mult_ns`` are empty.
 BENCH_CSV_FIELDS = (
     "algo,b,m,s,s_star,tau,w_scheme,seed,workers,rep,"
     "wall_ns,point_gen_ns,mult_ns,predicted_ops"
@@ -194,8 +195,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
         sched = parse_schedule(args.w, net.s, net.base, net.m)
         p = fast_reduced_product(net, sched, a, transform)
     else:
-        points = generate_points(net)
-        p = standard_product(points, a, transform)
+        p = standard_product(net, a, transform)
     if args.bin:
         with _out_stream(args.out, binary=True) as fh:
             write_product_bin(p, fh)
@@ -219,7 +219,7 @@ def _bench_config(
 
     # Warm-up pass, discarded.
     fast_reduced_product(reduced, sched, a, transform)
-    standard_product(generate_points(reduced), a, transform)
+    standard_product(reduced, a, transform)
 
     rows = []
     for rep in range(reps):
@@ -228,33 +228,25 @@ def _bench_config(
         fast_ns = time.perf_counter_ns() - t0
 
         t0 = time.perf_counter_ns()
-        points = generate_points(reduced)
-        gen_ns = time.perf_counter_ns() - t0
-        t1 = time.perf_counter_ns()
-        standard_product(points, a, transform)
-        mult_ns = time.perf_counter_ns() - t1
+        standard_product(reduced, a, transform)
+        std_ns = time.perf_counter_ns() - t0
 
         common = dict(
             b=b, m=m, s=s, s_star=s_star, tau=tau, w_scheme=scheme,
-            seed=seed, workers=1, rep=rep,
+            seed=seed, workers=1, rep=rep, point_gen_ns="", mult_ns="",
         )
         rows.append(
-            dict(common, algo="fast_column", wall_ns=fast_ns,
-                 point_gen_ns="", mult_ns="", predicted_ops=ops.fast)
+            dict(common, algo="fast_column", wall_ns=fast_ns, predicted_ops=ops.fast)
         )
         rows.append(
-            dict(common, algo="standard", wall_ns=gen_ns + mult_ns,
-                 point_gen_ns=gen_ns, mult_ns=mult_ns,
+            dict(common, algo="standard", wall_ns=std_ns,
                  predicted_ops=ops.standard + ops.point_gen)
         )
 
     for algo in ("fast_column", "standard"):
         group = [r for r in rows if r["algo"] == algo]
-        med = dict(group[0], rep="median")
-        for key in ("wall_ns", "point_gen_ns", "mult_ns"):
-            if med[key] != "":
-                med[key] = int(statistics.median(r[key] for r in group))
-        rows.append(med)
+        wall_ns = int(statistics.median(r["wall_ns"] for r in group))
+        rows.append(dict(group[0], rep="median", wall_ns=wall_ns))
     return rows
 
 

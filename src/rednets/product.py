@@ -1,9 +1,10 @@
-"""Matrix products with digital-net point blocks.
+"""Matrix products with digital-net point sets.
 
-The standard route takes the N x s numerator block of X and accumulates
-X A = sum_j x_j a_j with a fixed left-to-right coordinate order, streaming
-one transformed coordinate column at a time into a (tau, N) accumulator;
-the float block X never exists.  The fast route never materializes X for a
+The standard route accumulates X A = sum_j x_j a_j over the coordinates of
+the net in a fixed left-to-right order, streaming one transformed
+coordinate column at a time into a (tau, N) accumulator; the point kernel
+runs on a few coordinates at a time, so neither the numerator block nor
+the float block X ever exists.  The fast route never materializes X for a
 column-reduced net: coordinate j repeats its leading b^(m - w_j) values
 b^(w_j) times, so the running product is tiled vertically and updated with
 one rank-one term per coordinate, from the last unreduced coordinate down
@@ -21,8 +22,8 @@ import numpy as np
 
 from .nets import (
     NetSpec,
-    PointBlock,
     ReductionSchedule,
+    _check_block,
     _check_entries,
     _kept_columns,
     _loadtxt,
@@ -77,6 +78,9 @@ _D = (
 )
 _P_LOW = 0.02425
 
+# Numerators per point-kernel call in the standard product (2 MiB of int64).
+_CHUNK_ENTRIES = 1 << 18
+
 
 def norm_inverse(p: np.ndarray) -> np.ndarray:
     """Inverse standard normal CDF on (0, 1), elementwise."""
@@ -113,8 +117,7 @@ class Transform:
     the inverse normal CDF (the shift keeps 0 away from the pole); ``custom``
     applies a user-supplied function, which must act elementwise and return
     an array of its input's shape.  Both products apply it once, to the grid
-    n / b^m of every numerator n; the standard product applies it to one
-    coordinate column at a time instead if the grid outsizes its point block.
+    n / b^m of every numerator n.
     """
 
     kind: str = "identity"
@@ -174,29 +177,33 @@ def _check_a(a: np.ndarray, s: int) -> np.ndarray:
 
 
 def standard_product(
-    points: PointBlock,
+    net: NetSpec,
     a: np.ndarray,
     transform: Transform = Transform.identity(),
 ) -> np.ndarray:
-    """X A for the given point block, accumulated coordinate by coordinate.
+    """X A for all b^m points of the net, accumulated coordinate by coordinate.
 
-    One transformed coordinate column x_j, looked up in phi evaluated once
-    on the grid n / b^m, exists at a time; its rank-one term a_j x_j is
-    added to a (tau, N) accumulator.  The order is fixed (0 + x_1 a_1 +
-    ... + x_s a_s per output entry), so the baseline is bit-reproducible.
+    The point kernel runs on chunks of coordinates of at most
+    _CHUNK_ENTRIES numerators; each column x_j is looked up in phi evaluated
+    once on the grid n / b^m, and its rank-one term a_j x_j is added to a
+    (tau, N) accumulator.  The order is fixed (0 + x_1 a_1 + ... + x_s a_s
+    per output entry), so the baseline is bit-reproducible.
     """
-    a = _check_a(a, points.s)
-    n, tau = points.n_points, a.shape[1]
+    b, m = net.base, net.m
+    _check_block(b, m, m, net.s)
+    a = _check_a(a, net.s)
+    n, tau = b**m, a.shape[1]
     _check_entries(n * tau, "product block")
-    bm = points.base**points.m
-    grid = transform.apply(np.arange(bm) / float(bm)) if bm <= n * points.s else None
+    grid = transform.apply(np.arange(n) / float(n))
     acc = np.zeros((tau, n), dtype=np.float64)
     tmp = np.empty_like(acc)
-    for j in range(points.s):
-        nums = points.numerators[:, j]
-        x = transform.apply(nums / float(bm)) if grid is None else grid[nums]
-        np.multiply(a[j, :, None], x[None, :], out=tmp)
-        acc += tmp
+    k = max(1, _CHUNK_ENTRIES // n)
+    for j0 in range(0, net.s, k):
+        nums = coordinate_numerators(net.digits[j0 : j0 + k], b, m)
+        for j in range(nums.shape[1]):
+            np.multiply(a[j0 + j, :, None], grid[nums[:, j]][None, :], out=tmp)
+            acc += tmp
+        del nums  # so that the next chunk does not coexist with this one
     return np.ascontiguousarray(acc.T)
 
 

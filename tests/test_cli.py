@@ -6,6 +6,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,24 @@ def test_product_binary_output(tmp_path, capsys):
         from rednets.product import read_product_bin
         p = read_product_bin(fh)
     assert p.shape == (8, 1)
+
+
+def test_standard_product_builds_no_point_block(tmp_path, capsys):
+    # the int64 point block of b = 2, m = 12, s = 400 alone is 13.1 MB; the
+    # product streams it in chunks of at most 2^18 numerators (2 MiB)
+    net, a, out = tmp_path / "net.txt", tmp_path / "a.csv", tmp_path / "p.bin"
+    with open(net, "w") as fh:
+        rn.write_net(rn.random_net(2, 12, 400, seed=3), fh)
+    a.write_text("0.5,-1.25\n" * 400)
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "product", "--net", str(net), "--a", str(a),
+                         "--algo", "standard", "--bin", "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.stat().st_size == 16 + 4096 * 2 * 8
+    assert peak < 4 << 20
 
 
 def test_report_command(tmp_path, capsys):
@@ -311,7 +330,7 @@ def test_product_norminv_shift_spec_matches_library(tmp_path, capsys):
     out_bin = tmp_path / "p.bin"
     code, _, _ = run(capsys, *common, "--algo", "standard", "--bin", "--out", str(out_bin))
     buf = io.BytesIO()
-    write_product_bin(rn.standard_product(rn.generate_points(net), a, tr), buf)
+    write_product_bin(rn.standard_product(net, a, tr), buf)
     assert code == 0 and out_bin.read_bytes() == buf.getvalue()
 
     code, _, err = run(capsys, "product", "--net", str(path), "--a", str(a_path),
@@ -338,19 +357,14 @@ def test_bench_csv_schema_and_predictions(tmp_path, capsys):
         want = ops.fast if r["algo"] == "fast_column" else ops.standard + ops.point_gen
         assert int(r["predicted_ops"]) == want
         assert int(r["wall_ns"]) > 0
-        if r["algo"] == "standard":
-            if r["rep"] != "median":  # medians of parts need not sum
-                assert int(r["wall_ns"]) == int(r["point_gen_ns"]) + int(r["mult_ns"])
-        else:
-            assert r["point_gen_ns"] == "" and r["mult_ns"] == ""
+        # both products generate their own points, so no row splits its time
+        assert r["point_gen_ns"] == "" and r["mult_ns"] == ""
     medians = [r for r in rows if r["rep"] == "median"]
     assert len(medians) == 4
     for med in medians:
         reps = [r for r in rows if r["rep"] != "median" and r["algo"] == med["algo"]
                 and r["s"] == med["s"]]
-        for key in ("wall_ns", "point_gen_ns", "mult_ns"):
-            if med[key]:
-                assert int(med[key]) == int(statistics.median(int(r[key]) for r in reps))
+        assert int(med["wall_ns"]) == int(statistics.median(int(r["wall_ns"]) for r in reps))
 
 
 def test_bench_memory_guard(tmp_path, capsys, monkeypatch):
@@ -485,7 +499,12 @@ def test_tvalue_on_a_net_with_a_huge_prime_base_is_rejected_before_allocating(
     )
 
 
-@pytest.mark.parametrize("cmd", [["report"], ["disc-bound", "--weights", "poly:2"]])
+@pytest.mark.parametrize("cmd", [
+    ["report"],
+    ["disc-bound", "--weights", "poly:2"],
+    # A is read first, and its one row would not match the net: the block wins
+    ["product", "--algo", "standard", "--a", "A_CSV"],
+])
 @pytest.mark.parametrize("net_text,w,entries", [
     ("2305843009213693951 1 1\n0\n", "explicit:0", 2305843009213693951),
     (None, "log", 2**20 * 300),
@@ -493,13 +512,16 @@ def test_tvalue_on_a_net_with_a_huge_prime_base_is_rejected_before_allocating(
 def test_report_and_disc_bound_refuse_an_oversized_point_block_with_exit_2(
     tmp_path, capsys, cmd, net_text, w, entries
 ):
-    # the rank scans build no block, but keep the limit of the one they stand for
-    net = tmp_path / "net.txt"
+    # the rank scans and the streamed standard product build no block, but
+    # keep the limit of the one they stand for
+    net, a = tmp_path / "net.txt", tmp_path / "a.csv"
     if net_text is None:
         assert run(capsys, "gen", "--b", "2", "--m", "20", "--s", "300",
                    "--out", str(net))[0] == 0
     else:
         net.write_text(net_text)
+    a.write_text("1.5\n")
+    cmd = [str(a) if arg == "A_CSV" else arg for arg in cmd]
     code, out, err = run(capsys, *cmd, "--net", str(net), "--w", w)
     assert (code, out) == (2, "")
     assert err == f"error: point block of {entries} entries exceeds the limit of 268435456\n"

@@ -117,29 +117,27 @@ def test_transform_validation():
 
 
 def test_standard_product_identity_matrix_returns_points():
-    pts = rn.generate_points(rn.pascal_net(2, 4, 2))
-    out = rn.standard_product(pts, np.eye(2))
-    assert np.array_equal(out, pts.coords())
+    net = rn.pascal_net(2, 4, 2)
+    out = rn.standard_product(net, np.eye(2))
+    assert np.array_equal(out, rn.generate_points(net).coords())
 
 
 def test_standard_product_zero_matrix():
-    pts = rn.generate_points(rn.pascal_net(2, 3, 2))
-    out = rn.standard_product(pts, np.zeros((2, 3)))
+    out = rn.standard_product(rn.pascal_net(2, 3, 2), np.zeros((2, 3)))
     assert np.all(out == 0.0)
 
 
 def test_standard_product_row_sums_small_net():
-    pts = rn.generate_points(rn.pascal_net(2, 2, 2))
-    out = rn.standard_product(pts, np.array([[1.0], [1.0]]))
+    out = rn.standard_product(rn.pascal_net(2, 2, 2), np.array([[1.0], [1.0]]))
     assert out[:, 0].tolist() == [0.0, 1.0, 1.0, 1.0]
 
 
 def test_standard_product_validates_inputs():
-    pts = rn.generate_points(rn.pascal_net(2, 2, 2))
+    net = rn.pascal_net(2, 2, 2)
     with pytest.raises(ValueError):
-        rn.standard_product(pts, np.zeros((3, 1)))
+        rn.standard_product(net, np.zeros((3, 1)))
     with pytest.raises(ValueError):
-        rn.standard_product(pts, np.array([[np.nan], [0.0]]))
+        rn.standard_product(net, np.array([[np.nan], [0.0]]))
 
 
 def whole_block_standard_product(points, a, transform):
@@ -171,30 +169,38 @@ def test_standard_product_bits_match_whole_block_oracle(base, m, s, kind):
     a[:, 0] = -np.abs(a[:, 0])
     a[1, 1] = -0.0
     tr = TRANSFORMS[kind](base, m)
-    got = rn.standard_product(pts, a, tr)
+    got = rn.standard_product(net, a, tr)
     assert got.flags.c_contiguous and got.shape == (base**m, 5)
     assert got.tobytes() == whole_block_standard_product(pts, a, tr).tobytes()
     if kind == "identity":
         assert np.signbit(pts.coords()[0, 0] * a[0, 0])
         assert not np.signbit(got[0]).any()
-    # the first b points: the grid outsizes the block, so each column is
-    # transformed on its own
-    part = rn.generate_points(net, 1)
-    want = whole_block_standard_product(part, a, tr).tobytes()
-    assert rn.standard_product(part, a, tr).tobytes() == want
 
 
-def test_standard_product_bits_do_not_depend_on_the_point_block_order():
-    net = rn.random_net(3, 4, 6, seed=12)
-    pts = rn.generate_points(net)
-    assert pts.numerators.flags.f_contiguous and not pts.numerators.flags.c_contiguous
-    rows = rn.PointBlock(3, 4, np.ascontiguousarray(pts.numerators))
-    assert rows.numerators.flags.c_contiguous
-    a = np.random.default_rng(3).standard_normal((6, 4))
-    for kind in sorted(TRANSFORMS):
-        tr = TRANSFORMS[kind](3, 4)
-        want = rn.standard_product(pts, a, tr).tobytes()
-        assert rn.standard_product(rows, a, tr).tobytes() == want
+@pytest.mark.parametrize("base,m,s,tau,widths", [
+    # 2^18 // b^m coordinates per kernel call, the last call partial
+    (2, 12, 150, 5, [64, 64, 22]),
+    (3, 8, 100, 5, [39, 39, 22]),
+    # b^m above 2^18: one coordinate per call
+    (2, 19, 3, 2, [1, 1, 1]),
+])
+@pytest.mark.parametrize("kind", sorted(TRANSFORMS))
+def test_standard_product_bits_match_whole_block_oracle_across_chunks(
+    monkeypatch, base, m, s, tau, widths, kind
+):
+    net = rn.random_net(base, m, s, seed=s)
+    a = np.random.default_rng(m).standard_normal((s, tau))
+    tr = TRANSFORMS[kind](base, m)
+    want = whole_block_standard_product(rn.generate_points(net), a, tr).tobytes()
+    kernel, seen = rn.product.coordinate_numerators, []
+
+    def counted(digits, *args):
+        seen.append(len(digits))
+        return kernel(digits, *args)
+
+    monkeypatch.setattr(rn.product, "coordinate_numerators", counted)
+    assert rn.standard_product(net, a, tr).tobytes() == want
+    assert seen == widths
 
 
 def test_custom_transform_is_called_once_on_the_grid_by_both_products():
@@ -209,15 +215,11 @@ def test_custom_transform_is_called_once_on_the_grid_by_both_products():
         return np.sin(x)
 
     tr = rn.Transform.custom(fn)
-    rn.standard_product(rn.generate_points(red), a, tr)
+    rn.standard_product(red, a, tr)
     assert calls == [(81,)]
     calls.clear()
     rn.fast_reduced_product(red, sched, a, tr)
     assert calls == [(81,)]
-    # a block of 3 x 5 points is smaller than the grid: one call per column
-    calls.clear()
-    rn.standard_product(rn.generate_points(red, 1), a, tr)
-    assert calls == [(3,)] * 5
 
 
 # --- fast reduced product ------------------------------------------------------
@@ -235,7 +237,7 @@ def test_fast_equals_standard_randomized():
         a = rng.standard_normal((s, tau))
         for tr in (rn.Transform.identity(), rn.Transform.normal_inverse_for(2, m)):
             fast = rn.fast_reduced_product(red, sched, a, tr)
-            std = rn.standard_product(rn.generate_points(red), a, tr)
+            std = rn.standard_product(red, a, tr)
             assert rel_close(fast, std), (trial, m, s, tau, tr.kind)
 
 
@@ -249,7 +251,7 @@ def test_fast_equals_standard_when_a_level_takes_several_kernel_calls():
         a = np.random.default_rng(base).standard_normal((13, 2))
         for tr in (rn.Transform.identity(), rn.Transform.normal_inverse_for(base, 3)):
             fast = rn.fast_reduced_product(red, sched, a, tr)
-            std = rn.standard_product(rn.generate_points(red), a, tr)
+            std = rn.standard_product(red, a, tr)
             assert rel_close(fast, std), (base, tr.kind)
         assert rn.fast_reduced_product(red, sched, a[:, :0]).shape == (base**3, 0)
 
@@ -259,7 +261,7 @@ def test_fast_single_coordinate_bit_for_bit():
     sched = rn.ReductionSchedule.explicit([0])
     a = np.random.default_rng(1).standard_normal((1, 4))
     fast = rn.fast_reduced_product(net, sched, a)
-    std = rn.standard_product(rn.generate_points(net), a)
+    std = rn.standard_product(net, a)
     assert np.array_equal(fast, std)
 
 
@@ -330,12 +332,11 @@ def test_custom_transform_output_is_checked_in_both_products():
     net = rn.random_net(3, 3, 3, seed=15)
     sched = rn.ReductionSchedule.floor_log(3, 3, 3)
     red = rn.column_reduce(net, sched)
-    pts = rn.generate_points(red)
     a = np.random.default_rng(5).standard_normal((3, 2))
     good = rn.Transform.custom(np.sqrt)
     assert rel_close(
         rn.fast_reduced_product(red, sched, a, good),
-        rn.standard_product(pts, a, good),
+        rn.standard_product(red, a, good),
     )
     longer = rn.Transform.custom(lambda x: np.concatenate([x, x]))
     nan = rn.Transform.custom(lambda x: x * np.nan)
@@ -343,7 +344,7 @@ def test_custom_transform_output_is_checked_in_both_products():
         with pytest.raises(ValueError):
             rn.fast_reduced_product(red, sched, a, tr)
         with pytest.raises(ValueError):
-            rn.standard_product(pts, a, tr)
+            rn.standard_product(red, a, tr)
 
 
 def test_custom_transform_shape_message_names_one_column():
@@ -355,7 +356,7 @@ def test_custom_transform_shape_message_names_one_column():
     longer = rn.Transform.custom(lambda x: np.concatenate([x, x]))
     message = "custom transform returned shape (54,), expected (27,)"
     for call in (
-        lambda: rn.standard_product(rn.generate_points(red), a, longer),
+        lambda: rn.standard_product(red, a, longer),
         lambda: rn.fast_reduced_product(red, sched, a, longer),
     ):
         with pytest.raises(ValueError) as err:
@@ -368,13 +369,16 @@ def test_products_reject_oversized_blocks_before_allocating(monkeypatch):
     monkeypatch.setattr(rn.nets, "_MAX_ENTRIES", 404)
     net = rn.random_net(3, 4, 4, seed=2)
     sched = rn.ReductionSchedule.explicit([0, 0, 0, 0])
-    pts = rn.generate_points(net)
     message = "product block of 405 entries exceeds the limit of 404"
     with pytest.raises(ValueError, match=message):
-        rn.standard_product(pts, np.ones((4, 5)))
+        rn.standard_product(net, np.ones((4, 5)))
     with pytest.raises(ValueError, match=message):
         rn.fast_reduced_product(net, sched, np.ones((4, 5)))
-    assert rn.standard_product(pts, np.ones((4, 4))).shape == (81, 4)
+    assert rn.standard_product(net, np.ones((4, 4))).shape == (81, 4)
+    # the standard product checks the point block it stands for before A
+    monkeypatch.setattr(rn.nets, "_MAX_ENTRIES", 323)
+    with pytest.raises(ValueError, match="point block of 324 entries exceeds the limit of 323"):
+        rn.standard_product(net, np.ones((5, 1)))
 
 
 def test_tiling_identity_on_reduced_points():
