@@ -201,17 +201,20 @@ def exact_star_discrepancy(
     # Walk the first axis in order, keeping one plane over the remaining
     # axes: after slice i it holds the closed counts #{y <= corner} of the
     # corners with first coordinate grids[0][i], scaled to the common
-    # denominator b^(m d).  Memory is O(N^(d-1)), not O(N^d).  Numerators
-    # fit in int64 for b^m <= 4096 and d <= 3.
+    # denominator b^(m d).  Memory is O(N^(d-1)), not O(N^d).  Counts reach
+    # n_points b^(m (d-1)), volumes b^(m d), their differences the larger of
+    # the two, so the planes are int32 when that is below 2^31, else int64.
     scale = n_full ** (d - 1)
+    dtype = np.int32 if max(points.n_points, n_full) * scale < 2**31 else np.int64
     idx = [np.searchsorted(g, points.numerators[:, c]) for g, c in zip(grids, cols)]
     plane_idx = np.array(idx[1:], dtype=np.intp).reshape(d - 1, points.n_points)
     order = np.argsort(idx[0], kind="stable")
     starts = np.searchsorted(idx[0][order], np.arange(grids[0].size + 1))
     # plane_vol is the outer product of the plane axes' grid values.
-    plane_vol = math.prod(np.ix_(*grids[1:]), start=np.ones((), dtype=np.int64))
-    closed = np.zeros(plane_vol.shape, dtype=np.int64)
-    buf = np.empty(plane_vol.size, dtype=np.int64)
+    plane_axes = np.ix_(*(g.astype(dtype) for g in grids[1:]))
+    plane_vol = math.prod(plane_axes, start=np.ones((), dtype=dtype))
+    closed = np.zeros(plane_vol.shape, dtype=dtype)
+    buf = np.empty(plane_vol.size, dtype=dtype)
 
     def deviation(lo: list[int], g0: int, closed_side: bool) -> int:
         """Largest closed - vol, or vol - open, over the corners above lo."""
@@ -246,11 +249,11 @@ def exact_star_discrepancy(
             # Histogram the slice's points over the block above their lowest
             # corner and prefix-sum it along every axis.  The leading length-1
             # axis gives np.add.at an index array even for a 0-d plane.
-            hist = np.zeros(closed[block].shape, dtype=np.int64)
+            hist = np.zeros(closed[block].shape, dtype=dtype)
             cells = (np.zeros(at.shape[1], dtype=np.intp),) + tuple(at - lo[:, None])
             np.add.at(hist[None], cells, scale)
             for axis in range(d - 1):
-                hist = np.cumsum(hist, axis=axis)
+                hist = np.cumsum(hist, axis=axis, dtype=dtype)
             closed[block] += hist
         best = max(best, deviation(lo.tolist(), g0, True))
     best = max(best, deviation([0] * (d - 1), n_full, False))

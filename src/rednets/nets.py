@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import IO, Sequence
 
 import numpy as np
@@ -195,14 +194,6 @@ class PointBlock:
     @property
     def s(self) -> int:
         return self.numerators.shape[1]
-
-    def coords(self) -> np.ndarray:
-        """Coordinates as float64 in [0, 1)."""
-        return self.numerators / float(self.base**self.m)
-
-    def coord_fraction(self, k: int, j: int) -> Fraction:
-        """Exact coordinate x_{k,j} (j is 0-based here)."""
-        return Fraction(int(self.numerators[k, j]), self.base**self.m)
 
     def write_csv(self, fh: IO[str]) -> None:
         """CSV export: header ``k,x1,...,xs``; each value as ``num/b^m``.

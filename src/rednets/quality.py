@@ -341,7 +341,7 @@ def _projection_t(
 @dataclass(frozen=True)
 class ProjectionQuality:
     rho: int
-    t_exact: int | None
+    t_exact: int
     t_upper: int
 
 
@@ -359,7 +359,7 @@ class QualityReport:
     m: int
     s: int
     rho: int
-    t_exact: int | None
+    t_exact: int
     t_upper: int
     projections: dict[tuple[int, ...], ProjectionQuality]
 

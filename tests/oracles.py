@@ -3,10 +3,11 @@
 The library computes on one digit array per net; these are the plain
 integer algorithms on ``FieldMatrix`` values that it replaced: row access,
 products and powers, matrix-vector products, row stacking, rank by
-elimination of a whole digit array, and single net points.  The exact
-star discrepancy sweep that evaluates its whole plane at every slice is
-kept here too, as the reference for the pruned sweep.  Only tests call
-them, so they trust their inputs.
+elimination of a whole digit array, single net points, and point
+coordinates as floats or exact fractions.  The exact star discrepancy
+sweep that evaluates its whole plane at every slice is kept here too, as
+the reference for the pruned sweep.  Only tests call them, so they trust
+their inputs.
 """
 
 from __future__ import annotations
@@ -115,6 +116,16 @@ def point_slow(net, k):
         num = sum(y * b ** (m - 1 - i) for i, y in enumerate(ys))
         out.append(Fraction(num, b**m))
     return tuple(out)
+
+
+def coords(points):
+    """Coordinates of a point block as float64 in [0, 1)."""
+    return points.numerators / float(points.base**points.m)
+
+
+def coord_fraction(points, k, j):
+    """Exact coordinate x_{k,j} of a point block (j is 0-based here)."""
+    return Fraction(int(points.numerators[k, j]), points.base**points.m)
 
 
 def star_disc_plane_sweep(points, u):

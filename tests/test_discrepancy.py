@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
-from oracles import star_disc_plane_sweep
+from oracles import coords, star_disc_plane_sweep
 from rednets.quality import EnumerationBudgetError
 
 
@@ -291,6 +291,34 @@ def test_star_disc_matches_full_plane_sweep_on_arbitrary_blocks(base, m):
             assert got == star_disc_plane_sweep(pts, u), (n, u)
 
 
+# The sweep keeps its planes in int32 when max(n_points, b^m) * b^(m (d-1))
+# < 2^31 and in int64 otherwise; the full plane sweep is int64 throughout.
+@pytest.mark.parametrize(
+    "base,m", [(2, 10), (3, 6), (5, 4), (7, 3), (2, 11), (3, 7), (5, 5), (7, 4)]
+)
+def test_star_disc_matches_full_plane_sweep_on_each_side_of_the_int32_volumes(base, m):
+    # b^(3m) is the largest volume: below 2^31 for the first four (int32),
+    # above it for the last four (int64), whose blocks are only 10 points
+    assert (base ** (3 * m) < 2**31) == (m < {2: 11, 3: 7, 5: 5, 7: 4}[base])
+    rng = np.random.default_rng(base * 100 + m)
+    for _ in range(3):
+        pts = rn.PointBlock(base, m, rng.integers(0, base**m, size=(10, 3)))
+        for u in _nonempty_subsets(3):
+            got = rn.exact_star_discrepancy(pts, u)
+            assert got == star_disc_plane_sweep(pts, u), u
+
+
+@pytest.mark.parametrize("n", [2047, 2048, 2049])
+def test_star_disc_matches_full_plane_sweep_on_each_side_of_the_int32_counts(n):
+    # Closed counts reach n_points * 2^20 at b=2, m=10, d=3: below 2^31 only
+    # for n = 2047.  With n > b^m the count, not the volume, sets the dtype.
+    rng = np.random.default_rng(n)
+    pts = rn.PointBlock(2, 10, rng.integers(1, 4, size=(n, 3)))
+    want = star_disc_plane_sweep(pts, (1, 2, 3))
+    assert want > 1.99
+    assert rn.exact_star_discrepancy(pts, (1, 2, 3)) == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.data())
 def test_star_disc_matches_full_plane_sweep_hypothesis(base, d, data):
@@ -318,8 +346,8 @@ def test_local_discrepancy_reads_only_the_columns_in_u():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    coords = pts.coords()
-    inside = (coords[:, 1] < x[0]) & (coords[:, 399] < x[1]) & (coords[:, 799] < x[2])
+    y = coords(pts)
+    inside = (y[:, 1] < x[0]) & (y[:, 399] < x[1]) & (y[:, 799] < x[2])
     assert val == int(inside.sum()) / 4096 - x[0] * x[1] * x[2]
 
 
