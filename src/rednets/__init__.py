@@ -17,7 +17,6 @@ from .discrepancy import (
     zeta_product_check,
     zeta_value,
 )
-from .gfmat import FieldMatrix
 from .nets import (
     NetSpec,
     PointBlock,
@@ -57,7 +56,6 @@ from .quality import (
 __all__ = [
     "DEFAULT_BUDGET",
     "EnumerationBudgetError",
-    "FieldMatrix",
     "GlobalBound",
     "NetSpec",
     "OpCounts",

@@ -1,18 +1,16 @@
 """Exact linear algebra over prime fields F_b.
 
-``FieldMatrix`` is a validated, immutable value type for a small dense
-matrix with digit entries in {0, ..., b-1}, b prime; it is how matrices
-enter and leave the net constructions.  Rank is computed by Gaussian
-elimination, one row at a time into an echelon basis, on packed bit rows
-for base 2 and on digit rows with modular inverses otherwise.
+The prime-base check that every net goes through, and the rank that
+``rho`` computes: Gaussian elimination, one row at a time into an echelon
+basis, on packed bit rows for base 2 and on digit rows with modular
+inverses otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-__all__ = ["FieldMatrix", "is_prime"]
+__all__ = ["is_prime"]
 
 
 # The first 13 primes.  A strong probable prime to all of them is prime
@@ -58,30 +56,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class FieldMatrix:
-    """Immutable n_rows x n_cols matrix over F_base, entries row-major.
-
-    A 0-row matrix is allowed (it arises from empty row selections and has
-    rank 0 by convention); a 0-column matrix is not.
-    """
-
-    base: int
-    n_rows: int
-    n_cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_base(self.base)
-        if self.n_rows < 0 or self.n_cols < 1:
-            raise ValueError(f"invalid shape {self.n_rows}x{self.n_cols}")
-        if len(self.entries) != self.n_rows * self.n_cols:
-            raise ValueError("entry count does not match shape")
-        for e in self.entries:
-            if not 0 <= e < self.base:
-                raise ValueError(f"entry {e} outside [0, {self.base})")
 
 
 def _rank_form(rows: Iterable[Sequence[int]], base: int) -> list:

@@ -1,23 +1,23 @@
 """Digital net construction, column/row reduction, and exact point generation.
 
 A net over F_b with b^m points in dimension s is described by s generating
-matrices of shape m x m.  The k-th point has coordinates built by multiplying
-each matrix with the base-b digit vector of k (least significant digit
-first) and reading the output digits as b-adic fractions.  Points are kept
-as exact integer numerators over the denominator b^m so that net properties
-can be verified without rounding.
+matrices of shape m x m, held as one (s, m, m) digit array: the one matrix
+form of the library, which the constructions also take.  The k-th point has
+coordinates built by multiplying each matrix with the base-b digit vector
+of k (least significant digit first) and reading the output digits as
+b-adic fractions.  Points are kept as exact integer numerators over the
+denominator b^m so that net properties can be verified without rounding.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
 
-from .gfmat import FieldMatrix, _check_base
+from .gfmat import _check_base
 
 # Largest point or product block, in entries, that any routine allocates
 # (2 GiB of int64); larger requests fail with a ValueError up front.
@@ -74,24 +74,6 @@ class NetSpec:
         object.__setattr__(self, "digits", d)
         if self.declared_t is not None and not 0 <= self.declared_t <= self.m:
             raise ValueError("declared_t outside [0, m]")
-
-    @classmethod
-    def from_matrices(
-        cls, base: int, m: int, matrices: Sequence[FieldMatrix], **fields
-    ) -> NetSpec:
-        """Net from m x m ``FieldMatrix`` values over F_base; ``fields`` are
-        the optional ``declared_t`` and ``provenance``."""
-        if any(c.base != base or (c.n_rows, c.n_cols) != (m, m) for c in matrices):
-            raise ValueError(f"matrices must be {m}x{m} over F_{base}")
-        digits = np.array([c.entries for c in matrices], dtype=np.int64)
-        return cls(base, m, digits.reshape(-1, m, m), **fields)
-
-    @functools.cached_property
-    def matrices(self) -> tuple[FieldMatrix, ...]:
-        """The matrices as ``FieldMatrix`` values, the form that the sequence
-        constructions take and that the scalar test oracles read."""
-        b, m, flat = self.base, self.m, self.digits.reshape(self.s, -1).tolist()
-        return tuple(FieldMatrix(b, m, m, tuple(ent)) for ent in flat)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetSpec):
@@ -246,6 +228,7 @@ def pascal_net(base: int, m: int, s: int) -> NetSpec:
     if s < 1:
         raise ValueError("s must be >= 1")
     _check_base(base)
+    _check_entries(s * m * m, "net")
     digits = [
         [[math.comb(r, i) * pow(k, r - i, base) % base if r >= i else 0
           for r in range(m)] for i in range(m)]
@@ -266,6 +249,7 @@ def random_net(base: int, m: int, s: int, seed: int) -> NetSpec:
     if s < 1:
         raise ValueError("s must be >= 1")
     _check_base(base)
+    _check_entries(s * m * m, "net")
     digits = _uniform_digits(seed, s * m * m, base, (1 << 64) - (1 << 64) % base)
     return NetSpec(base, m, digits.reshape(s, m, m), provenance=f"random(seed={seed})")
 
@@ -290,43 +274,44 @@ def row_reduce(net: NetSpec, sched: ReductionSchedule) -> NetSpec:
     return NetSpec(net.base, net.m, np.where(keep, net.digits, 0))
 
 
-def prepend_zero_columns_seq(
-    d1: FieldMatrix, d2: FieldMatrix, t: int, m: int
-) -> NetSpec:
+def prepend_zero_columns_seq(digits: np.ndarray, base: int, t: int, m: int) -> NetSpec:
     """Two-dimensional net with t zero columns prepended to both matrices.
 
-    C_j is [0_{m x t} | left m x (m-t) block of D_j].  When D_1, D_2 generate
-    a (0,2)-sequence the result carries declared_t = t; the caller is
+    ``digits`` holds D_1, D_2 over F_base as a (2, r, c) integer array with
+    r, c >= m, such as ``pascal_net(base, m, 2).digits``.  C_j is
+    [0_{m x t} | left m x (m-t) block of D_j].  When D_1, D_2 generate a
+    (0,2)-sequence the result carries declared_t = t; the caller is
     responsible for that hypothesis.
     """
     if t < 0 or t > m:
         raise ValueError("need 0 <= t <= m")
-    if d2.base != d1.base:
-        raise ValueError("base mismatch")
-    digits = np.zeros((2, m, m), dtype=np.int64)
-    for c, d in zip(digits, (d1, d2)):
-        if d.n_rows < m or d.n_cols < m:
-            raise ValueError(f"input matrices must be at least {m}x{m}")
-        c[:, t:] = np.reshape(d.entries, (d.n_rows, d.n_cols))[:m, : m - t]
-    return NetSpec(d1.base, m, digits, declared_t=t)
+    _check_base(base)
+    d = np.asarray(digits)
+    if d.ndim != 3 or len(d) != 2 or d.dtype.kind not in "iu":
+        raise ValueError("need a (2, r, c) integer digit array")
+    if d.shape[1] < m or d.shape[2] < m:
+        raise ValueError(f"input matrices must be at least {m}x{m}")
+    if d.min() < 0 or d.max() >= base:
+        raise ValueError(f"digits outside [0, {base})")
+    out = np.zeros((2, m, m), dtype=d.dtype)
+    out[:, :, t:] = d[:, :m, : m - t]
+    return NetSpec(base, m, out, declared_t=t)
 
 
-def block_diag_seq(d2: FieldMatrix, t: int, m: int) -> FieldMatrix:
-    """Block-diagonal matrix with the t x t and (m-t) x (m-t) blocks of D_2.
+def block_diag_seq(digits: np.ndarray, base: int, t: int, m: int) -> NetSpec:
+    """The strict two-dimensional example over D_1, D_2 as ``digits``.
 
-    Pairs with the first matrix of :func:`prepend_zero_columns_seq` to form
-    the strict two-dimensional example whose reduced linear independence
-    parameter equals m - max(t, w_2) exactly.
+    C_1 is the first matrix of :func:`prepend_zero_columns_seq`; C_2 is
+    block-diagonal with the t x t and (m-t) x (m-t) leading blocks of D_2.
+    Its reduced linear independence parameter equals m - max(t, w_2)
+    exactly, and declared_t = t holds under the same hypothesis.
     """
-    if t < 0 or t > m:
-        raise ValueError("need 0 <= t <= m")
-    if d2.n_rows < max(t, m - t) or d2.n_cols < max(t, m - t):
-        raise ValueError("input matrix too small for the requested blocks")
-    d = np.reshape(d2.entries, (d2.n_rows, d2.n_cols))
-    out = np.zeros((m, m), dtype=np.int64)
-    out[:t, :t] = d[:t, :t]
-    out[t:, t:] = d[: m - t, : m - t]
-    return FieldMatrix(d2.base, m, m, tuple(out.ravel().tolist()))
+    first = prepend_zero_columns_seq(digits, base, t, m).digits[0]
+    d2 = np.asarray(digits)[1]
+    second = np.zeros_like(first)
+    second[:t, :t] = d2[:t, :t]
+    second[t:, t:] = d2[: m - t, : m - t]
+    return NetSpec(base, m, np.stack((first, second)), declared_t=t)
 
 
 def _check_entries(count: int, what: str) -> None:

@@ -1,9 +1,10 @@
 """Scalar F_b reference routines that the tests compare the library against.
 
-The library computes on one digit array per net; these are the plain
-integer algorithms on ``FieldMatrix`` values that it replaced: row access,
-products and powers, matrix-vector products, row stacking, rank by
-elimination of a whole digit array, single net points, and point
+The library keeps every net's generating matrices in one digit array;
+these are the plain integer algorithms on single ``Matrix`` tuples that it
+replaced: reading a net's matrices and building a net from them, row
+access, products and powers, matrix-vector products, row stacking, rank
+by elimination of a whole digit array, single net points, and point
 coordinates as floats or exact fractions.  The exact star discrepancy
 sweep that evaluates its whole plane at every slice is kept here too, as
 the reference for the pruned sweep.  Only tests call them, so they trust
@@ -12,12 +13,27 @@ their inputs.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
 from rednets.discrepancy import _axis_grids
-from rednets.gfmat import FieldMatrix
+from rednets.nets import NetSpec
+
+# An n_rows x n_cols matrix over F_base with its entries row-major in a tuple.
+Matrix = namedtuple("Matrix", "base n_rows n_cols entries")
+
+
+def matrices(net):
+    """The generating matrices of a net as m x m ``Matrix`` values."""
+    b, m, flat = net.base, net.m, net.digits.reshape(net.s, -1).tolist()
+    return tuple(Matrix(b, m, m, tuple(ent)) for ent in flat)
+
+
+def net_from_matrices(base, m, mats, **fields):
+    """Net from m x m ``Matrix`` values; fields are declared_t and provenance."""
+    return NetSpec(base, m, np.array([c.entries for c in mats]).reshape(-1, m, m), **fields)
 
 
 def from_rows(base, rows, n_cols=None):
@@ -25,15 +41,15 @@ def from_rows(base, rows, n_cols=None):
     rows = [tuple(r) for r in rows]
     if rows:
         n_cols = len(rows[0])
-    return FieldMatrix(base, len(rows), n_cols, tuple(e for r in rows for e in r))
+    return Matrix(base, len(rows), n_cols, tuple(e for r in rows for e in r))
 
 
 def identity(base, n):
-    return FieldMatrix(base, n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+    return Matrix(base, n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
 
 def zeros(base, n_rows, n_cols):
-    return FieldMatrix(base, n_rows, n_cols, (0,) * (n_rows * n_cols))
+    return Matrix(base, n_rows, n_cols, (0,) * (n_rows * n_cols))
 
 
 def at(mat, i, j):
@@ -50,7 +66,7 @@ def rows(mat):
 
 def transpose(mat):
     ent = tuple(at(mat, i, j) for j in range(mat.n_cols) for i in range(mat.n_rows))
-    return FieldMatrix(mat.base, mat.n_cols, mat.n_rows, ent)
+    return Matrix(mat.base, mat.n_cols, mat.n_rows, ent)
 
 
 def matmul(a, b):
@@ -59,7 +75,7 @@ def matmul(a, b):
         for ri in rows(a)
         for j in range(b.n_cols)
     )
-    return FieldMatrix(a.base, a.n_rows, b.n_cols, ent)
+    return Matrix(a.base, a.n_rows, b.n_cols, ent)
 
 
 def matpow(mat, k):
@@ -111,7 +127,7 @@ def point_slow(net, k):
     b, m = net.base, net.m
     digits = [(k // b**i) % b for i in range(m)]
     out = []
-    for mat in net.matrices:
+    for mat in matrices(net):
         ys = mat_vec(mat, digits)
         num = sum(y * b ** (m - 1 - i) for i, y in enumerate(ys))
         out.append(Fraction(num, b**m))

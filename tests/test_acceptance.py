@@ -87,10 +87,9 @@ def test_criterion_4_sharpness_constructions():
     checked = 0
     for t in (1, 2):
         for m in range(t, 9):
-            d1, d2 = rn.pascal_net(2, m, 2).matrices
-            lower_net = rn.prepend_zero_columns_seq(d1, d2, t, m)
-            e2 = rn.block_diag_seq(d2, t, m)
-            upper_net = rn.NetSpec.from_matrices(2, m, (lower_net.matrices[0], e2))
+            digits = rn.pascal_net(2, m, 2).digits
+            lower_net = rn.prepend_zero_columns_seq(digits, 2, t, m)
+            upper_net = rn.block_diag_seq(digits, 2, t, m)
             for w2 in range(m - t + 1):
                 sched = rn.ReductionSchedule.explicit([0, w2])
                 r_low = rn.rho(rn.column_reduce(lower_net, sched))

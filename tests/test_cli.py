@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rednets as rn
-from oracles import row
+from oracles import matrices, row
 from rednets.cli import BENCH_CSV_FIELDS, main, parse_schedule
 from rednets.product import write_product_bin, write_product_csv
 
@@ -61,8 +61,8 @@ def test_row_axis_reduce(tmp_path, capsys):
     assert code == 0
     with open(red) as fh:
         loaded = rn.read_net(fh)
-    assert row(loaded.matrices[1], 3) == (0, 0, 0, 0)
-    assert row(loaded.matrices[1], 0) == (1, 1, 1, 1)
+    assert row(matrices(loaded)[1], 3) == (0, 0, 0, 0)
+    assert row(matrices(loaded)[1], 0) == (1, 1, 1, 1)
 
 
 def test_points_csv_output(tmp_path, capsys):
@@ -472,6 +472,17 @@ def test_gen_random_rejects_m_or_s_below_one_with_exit_2(capsys, name):
     code, out, err = run(capsys, "gen", "--b", "2", "--m", sizes["m"],
                          "--s", sizes["s"], "--source", "random")
     assert (code, out, err) == (2, "", f"error: {name} must be >= 1\n")
+
+
+@pytest.mark.parametrize("source,m,s", [("random", 100000, 100), ("pascal", 20000, 1)])
+def test_gen_oversized_net_exits_2_before_allocating(tmp_path, capsys, source, m, s):
+    # s m^2 digits: 7.28 TiB of uint64 draws, or 4e8 exact binomials
+    out_file = tmp_path / "net.txt"
+    code, out, err = run(capsys, "gen", "--b", "2", "--m", str(m), "--s", str(s),
+                         "--source", source, "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: net of {s * m * m} entries exceeds the limit of 268435456\n"
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("weights", ["poly:nan", "poly:inf", "const:inf", "inf,1,1"])

@@ -12,7 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
-from oracles import at, coord_fraction, identity, matmul, matpow, point_slow, rows, zeros
+from oracles import (
+    Matrix,
+    at,
+    coord_fraction,
+    identity,
+    matmul,
+    matpow,
+    matrices,
+    net_from_matrices,
+    point_slow,
+    rows,
+    zeros,
+)
 from rednets.gfmat import is_prime
 from rednets.nets import (
     _numerators_digits,
@@ -109,9 +121,9 @@ def test_netspec_rejects_malformed_digits():
 def test_netspec_matrices_round_trip_through_from_matrices(base):
     net = rn.random_net(base, 3, 4, seed=base)
     assert net.digits.dtype == (np.uint8 if base < 128 else np.uint64)
-    again = rn.NetSpec.from_matrices(base, 3, net.matrices, provenance=net.provenance)
+    again = net_from_matrices(base, 3, matrices(net), provenance=net.provenance)
     assert again == net
-    assert again.matrices == net.matrices
+    assert matrices(again) == matrices(net)
 
 
 # --- pascal_net ------------------------------------------------------------
@@ -119,8 +131,8 @@ def test_netspec_matrices_round_trip_through_from_matrices(base):
 
 def test_pascal_net_matches_paper_example():
     net = rn.pascal_net(2, 4, 2)
-    assert net.matrices[0] == identity(2, 4)
-    assert rows(net.matrices[1]) == [
+    assert matrices(net)[0] == identity(2, 4)
+    assert rows(matrices(net)[1]) == [
         (1, 1, 1, 1),
         (0, 1, 0, 1),
         (0, 0, 1, 1),
@@ -132,20 +144,20 @@ def test_pascal_net_matches_paper_example():
 
 def test_pascal_net_1x1():
     net = rn.pascal_net(2, 1, 2)
-    assert rows(net.matrices[0]) == [(1,)]
-    assert rows(net.matrices[1]) == [(1,)]
+    assert rows(matrices(net)[0]) == [(1,)]
+    assert rows(matrices(net)[1]) == [(1,)]
 
 
 def test_pascal_net_m3_second_matrix():
     # c_{2,3} = binom(2,1) mod 2 = 0, not 1
     net = rn.pascal_net(2, 3, 2)
-    assert rows(net.matrices[1]) == [(1, 1, 1), (0, 1, 0), (0, 0, 1)]
+    assert rows(matrices(net)[1]) == [(1, 1, 1), (0, 1, 0), (0, 0, 1)]
 
 
 @pytest.mark.parametrize("base,m", [(2, 6), (3, 6), (5, 4)])
 def test_pascal_entries_match_lucas_oracle(base, m):
     net = rn.pascal_net(base, m, 2)
-    c2 = net.matrices[1]
+    c2 = matrices(net)[1]
     for i in range(m):
         for r in range(m):
             assert at(c2, i, r) == binom_mod_lucas(r, i, base)
@@ -153,18 +165,18 @@ def test_pascal_entries_match_lucas_oracle(base, m):
 
 def test_pascal_net_higher_s_uses_matrix_powers():
     net = rn.pascal_net(3, 4, 4)
-    c2 = net.matrices[1]
-    assert net.matrices[0] == identity(3, 4)
-    assert net.matrices[2] == matmul(c2, c2)
-    assert net.matrices[3] == matmul(matmul(c2, c2), c2)
+    c2 = matrices(net)[1]
+    assert matrices(net)[0] == identity(3, 4)
+    assert matrices(net)[2] == matmul(c2, c2)
+    assert matrices(net)[3] == matmul(matmul(c2, c2), c2)
     assert net.declared_t is None
 
 
 def pascal_oracle(base, m, s):
-    """Pascal net from FieldMatrix powers of the binomial matrix; test oracle."""
+    """Pascal net from scalar powers of the binomial matrix; test oracle."""
     ent = tuple(math.comb(r, i) % base for i in range(m) for r in range(m))
-    mats = tuple(matpow(rn.FieldMatrix(base, m, m, ent), j) for j in range(s))
-    return rn.NetSpec.from_matrices(base, m, mats)
+    mats = tuple(matpow(Matrix(base, m, m, ent), j) for j in range(s))
+    return net_from_matrices(base, m, mats)
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,19 +256,19 @@ def test_random_net_paper_scale_file_is_pinned():
 def test_random_net_paper_scale_shapes():
     net = rn.random_net(2, 12, 800, seed=0)
     assert net.s == 800
-    assert all(c.n_rows == 12 and c.n_cols == 12 for c in net.matrices)
+    assert all(c.n_rows == 12 and c.n_cols == 12 for c in matrices(net))
 
 
 def test_random_net_different_seeds_differ():
     for seed in range(10):
         a = rn.random_net(3, 4, 2, seed=seed)
         b = rn.random_net(3, 4, 2, seed=seed + 1000)
-        assert a.matrices != b.matrices
+        assert matrices(a) != matrices(b)
 
 
 def test_random_net_digits_are_plausibly_uniform():
     net = rn.random_net(5, 10, 10, seed=9)
-    flat = [e for c in net.matrices for e in c.entries]
+    flat = [e for c in matrices(net) for e in c.entries]
     counts = np.bincount(flat, minlength=5)
     assert counts.min() > 0.8 * len(flat) / 5
 
@@ -267,8 +279,8 @@ def test_random_net_digits_are_plausibly_uniform():
 def test_column_reduce_paper_example():
     net = rn.pascal_net(2, 4, 2)
     red = rn.column_reduce(net, rn.ReductionSchedule.explicit([0, 1]))
-    assert red.matrices[0] == net.matrices[0]
-    assert rows(red.matrices[1]) == [
+    assert matrices(red)[0] == matrices(net)[0]
+    assert rows(matrices(red)[1]) == [
         (1, 1, 1, 0),
         (0, 1, 0, 0),
         (0, 0, 1, 0),
@@ -280,19 +292,19 @@ def test_column_reduce_paper_example():
 def test_column_reduce_zero_w_is_identity_map():
     net = rn.random_net(3, 4, 3, seed=5)
     red = rn.column_reduce(net, rn.ReductionSchedule.explicit([0, 0, 0]))
-    assert red.matrices == net.matrices
+    assert matrices(red) == matrices(net)
 
 
 def test_column_reduce_w_at_least_m_zeroes_matrix():
     net = rn.random_net(2, 3, 2, seed=1)
     red = rn.column_reduce(net, rn.ReductionSchedule.explicit([0, 7]))
-    assert red.matrices[1] == zeros(2, 3, 3)
+    assert matrices(red)[1] == zeros(2, 3, 3)
 
 
 def test_row_reduce_paper_example():
     net = rn.pascal_net(2, 4, 2)
     red = rn.row_reduce(net, rn.ReductionSchedule.explicit([0, 1]))
-    assert rows(red.matrices[1]) == [
+    assert rows(matrices(red)[1]) == [
         (1, 1, 1, 1),
         (0, 1, 0, 1),
         (0, 0, 1, 1),
@@ -302,9 +314,9 @@ def test_row_reduce_paper_example():
 
 def test_row_reduce_edge_cases():
     net = rn.random_net(2, 3, 2, seed=2)
-    assert rn.row_reduce(net, rn.ReductionSchedule.explicit([0, 0])).matrices == net.matrices
+    assert matrices(rn.row_reduce(net, rn.ReductionSchedule.explicit([0, 0]))) == matrices(net)
     zeroed = rn.row_reduce(net, rn.ReductionSchedule.explicit([0, 3]))
-    assert zeroed.matrices[1] == zeros(2, 3, 3)
+    assert matrices(zeroed)[1] == zeros(2, 3, 3)
 
 
 def test_reduce_rejects_bad_schedule():
@@ -331,7 +343,7 @@ def test_column_reduce_is_idempotent(m, s, data):
     sched = rn.ReductionSchedule.explicit(w)
     once = rn.column_reduce(net, sched)
     twice = rn.column_reduce(once, sched)
-    assert once.matrices == twice.matrices
+    assert matrices(once) == matrices(twice)
 
 
 def test_schedule_s_star():
@@ -356,16 +368,15 @@ def test_floor_log_schedules():
 
 
 def test_prepend_zero_columns_t0_is_noop():
-    d1, d2 = rn.pascal_net(2, 4, 2).matrices
-    net = rn.prepend_zero_columns_seq(d1, d2, 0, 4)
-    assert net.matrices == (d1, d2)
+    pascal = rn.pascal_net(2, 4, 2)
+    net = rn.prepend_zero_columns_seq(pascal.digits, 2, 0, 4)
+    assert matrices(net) == matrices(pascal)
     assert net.declared_t == 0
 
 
 def test_prepend_zero_columns_shifts_right():
-    d1, d2 = rn.pascal_net(2, 4, 2).matrices
-    net = rn.prepend_zero_columns_seq(d1, d2, 1, 4)
-    assert rows(net.matrices[0]) == [
+    net = rn.prepend_zero_columns_seq(rn.pascal_net(2, 4, 2).digits, 2, 1, 4)
+    assert rows(matrices(net)[0]) == [
         (0, 1, 0, 0),
         (0, 0, 1, 0),
         (0, 0, 0, 1),
@@ -375,28 +386,46 @@ def test_prepend_zero_columns_shifts_right():
 
 
 def test_prepend_zero_columns_net_passes_brute_force_check():
-    d1, d2 = rn.pascal_net(2, 4, 2).matrices
-    net = rn.prepend_zero_columns_seq(d1, d2, 1, 4)
+    net = rn.prepend_zero_columns_seq(rn.pascal_net(2, 4, 2).digits, 2, 1, 4)
     points = rn.generate_points(net)
     assert rn.verify_tms_net(points, 1)
     assert not rn.verify_tms_net(points, 0)
 
 
 def test_prepend_zero_columns_rejects_bad_t():
-    d1, d2 = rn.pascal_net(2, 4, 2).matrices
-    with pytest.raises(ValueError):
-        rn.prepend_zero_columns_seq(d1, d2, 5, 4)
+    # both sharpness constructions, on every kind of bad input
+    digits = rn.pascal_net(2, 4, 2).digits
+    bad = [
+        (digits, 2, 5, 4),  # t > m
+        (digits, 2, -1, 4),  # t < 0
+        (digits, 4, 1, 4),  # base not prime
+        (np.full((2, 4, 4), 2), 2, 1, 4),  # entry outside [0, b)
+        (np.full((2, 4, 4), -1), 3, 1, 4),
+        # an entry outside [0, b) beyond the m x m block that is read
+        (np.pad(digits, ((0, 0), (0, 1), (0, 1)), constant_values=3), 3, 1, 4),
+        (digits[:, :3], 2, 1, 4),  # fewer than m rows
+        (digits[:, :, :3], 2, 1, 4),  # fewer than m columns
+        (digits[:1], 2, 1, 4),  # one matrix, not two
+        (digits.astype(float), 2, 1, 4),  # not integer digits
+    ]
+    for construct in (rn.prepend_zero_columns_seq, rn.block_diag_seq):
+        for args in bad:
+            with pytest.raises(ValueError):
+                construct(*args)
 
 
 def test_block_diag_edges():
-    d2 = rn.pascal_net(2, 5, 2).matrices[1]
-    assert rn.block_diag_seq(d2, 0, 5) == d2
-    assert rn.block_diag_seq(d2, 5, 5) == d2
+    pascal = rn.pascal_net(2, 5, 2)
+    for t in (0, 5):
+        c1, c2 = matrices(rn.block_diag_seq(pascal.digits, 2, t, 5))
+        assert c1 == matrices(rn.prepend_zero_columns_seq(pascal.digits, 2, t, 5))[0]
+        assert c2 == matrices(pascal)[1]
 
 
 def test_block_diag_t2_m5():
-    d2 = rn.pascal_net(2, 5, 2).matrices[1]
-    e2 = rn.block_diag_seq(d2, 2, 5)
+    pascal = rn.pascal_net(2, 5, 2)
+    d2 = matrices(pascal)[1]
+    e2 = matrices(rn.block_diag_seq(pascal.digits, 2, 2, 5))[1]
     for i in range(2):
         for j in range(2):
             assert at(e2, i, j) == at(d2, i, j)
@@ -409,18 +438,29 @@ def test_block_diag_t2_m5():
             assert at(e2, j, i) == 0
 
 
+@pytest.mark.parametrize("construct", [rn.prepend_zero_columns_seq, rn.block_diag_seq])
+def test_sharpness_declared_t_is_the_strict_t_value(construct):
+    # Pascal's first two matrices generate a (0,2)-sequence in every base
+    for base, m_max in ((2, 6), (3, 4), (5, 3), (7, 3)):
+        for m in range(1, m_max + 1):
+            digits = rn.pascal_net(base, m, 2).digits
+            for t in range(m + 1):
+                net = construct(digits, base, t, m)
+                assert rn.strict_t(rn.generate_points(net)) == net.declared_t == t
+
+
 def prepend_oracle(d1, d2, t, m):
     """prepend_zero_columns_seq entry by entry; test oracle."""
     mats = [
-        rn.FieldMatrix(d.base, m, m, tuple(
+        Matrix(d.base, m, m, tuple(
             at(d, i, j - t) if j >= t else 0 for i in range(m) for j in range(m)
         ))
         for d in (d1, d2)
     ]
-    return rn.NetSpec.from_matrices(d1.base, m, mats, declared_t=t)
+    return net_from_matrices(d1.base, m, mats, declared_t=t)
 
 
-def block_diag_oracle(d2, t, m):
+def block_diag_oracle(d1, d2, t, m):
     """block_diag_seq entry by entry; test oracle."""
     ent = (
         at(d2, i, j) if i < t and j < t
@@ -428,22 +468,20 @@ def block_diag_oracle(d2, t, m):
         else 0
         for i in range(m) for j in range(m)
     )
-    return rn.FieldMatrix(d2.base, m, m, tuple(ent))
+    mats = (matrices(prepend_oracle(d1, d2, t, m))[0], Matrix(d2.base, m, m, tuple(ent)))
+    return net_from_matrices(d2.base, m, mats, declared_t=t)
 
 
-@pytest.mark.parametrize("base", [2, 3])
+@pytest.mark.parametrize("base", [2, 3, 5, 7])
 def test_sharpness_constructions_match_per_entry_oracles(base):
     rng = np.random.default_rng(base)
     for m in range(1, 7):
         # inputs larger than m x m and not square, so slicing picks the block
-        d1, d2 = (
-            rn.FieldMatrix(base, m + 2, m + 3,
-                           tuple(rng.integers(0, base, (m + 2) * (m + 3)).tolist()))
-            for _ in range(2)
-        )
+        digits = rng.integers(0, base, (2, m + 2, m + 3))
+        d1, d2 = (Matrix(base, m + 2, m + 3, tuple(d.ravel().tolist())) for d in digits)
         for t in range(m + 1):
-            assert rn.prepend_zero_columns_seq(d1, d2, t, m) == prepend_oracle(d1, d2, t, m)
-            assert rn.block_diag_seq(d2, t, m) == block_diag_oracle(d2, t, m)
+            assert rn.prepend_zero_columns_seq(digits, base, t, m) == prepend_oracle(d1, d2, t, m)
+            assert rn.block_diag_seq(digits, base, t, m) == block_diag_oracle(d1, d2, t, m)
 
 
 # --- point generation ------------------------------------------------------
@@ -672,7 +710,7 @@ def test_net_file_round_trip(base, m, s, seed):
     again = rn.read_net(io.StringIO(buf.getvalue()))
     assert again.base == net.base
     assert again.m == net.m
-    assert again.matrices == net.matrices
+    assert matrices(again) == matrices(net)
     # second round trip is byte identical
     buf2 = io.StringIO()
     rn.write_net(again, buf2)
@@ -692,7 +730,7 @@ def test_read_net_rejects_malformed():
 
 def test_read_net_ignores_blank_lines():
     net = rn.read_net(io.StringIO("\n2 2 1\n\n1 0\n  \n0 1\n\n"))
-    assert net.matrices[0] == identity(2, 2)
+    assert matrices(net)[0] == identity(2, 2)
 
 
 def write_csv_per_row(points, fh):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
-from oracles import coords, from_rows
+from oracles import coords, from_rows, net_from_matrices
 from rednets.cli import main
 from rednets.product import (
     _A,
@@ -318,7 +318,7 @@ def test_fast_rejection_names_first_offending_matrix_and_column():
     bad2 = [[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     bad3 = [[1, 0, 0, 1]] * 4
     mats = tuple(from_rows(2, rows) for rows in (eye, bad2, bad3))
-    net = rn.NetSpec.from_matrices(2, 4, mats)
+    net = net_from_matrices(2, 4, mats)
     sched = rn.ReductionSchedule.explicit([0, 2, 7])
     with pytest.raises(ValueError) as err:
         rn.fast_reduced_product(net, sched, np.zeros((3, 1)))

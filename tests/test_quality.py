@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
-from oracles import rank_generic, stack_rows
+from oracles import matrices, rank_generic, stack_rows
 from rednets import cli, nets, quality
 from rednets.cli import parse_schedule
 from rednets.quality import (
@@ -72,7 +72,7 @@ def tmes_oracle(points, t, e):
 
 
 def rho_oracle(net, u):
-    mats = [net.matrices[j - 1] for j in u]
+    mats = [matrices(net)[j - 1] for j in u]
     for r in range(1, net.m + 1):
         for d in recursive_compositions(r, len(u)):
             if rank_generic(stack_rows(list(zip(mats, d)))) != r:
@@ -239,8 +239,7 @@ def test_strict_t_examples():
 
 def test_strict_t_lower_sharp_construction():
     # prepended-zero-columns net with t = 1, m = 4, w = (0, 1)
-    d1, d2 = rn.pascal_net(2, 4, 2).matrices
-    net = rn.prepend_zero_columns_seq(d1, d2, 1, 4)
+    net = rn.prepend_zero_columns_seq(rn.pascal_net(2, 4, 2).digits, 2, 1, 4)
     sched = rn.ReductionSchedule.explicit([0, 1])
     red = rn.column_reduce(net, sched)
     assert rn.rho(red) == 2  # m - t - w2 exactly
