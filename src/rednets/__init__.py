@@ -5,19 +5,10 @@ matrix-matrix product exploiting the repetitive point structure of reduced
 nets, and weighted star discrepancy bounds.
 """
 
-from .discrepancy import (
-    GlobalBound,
-    WeightModel,
-    avb_coefficients,
-    choose_reduction_indices,
-    exact_star_discrepancy,
-    global_disc_bound,
-    local_discrepancy,
-    projection_disc_bound,
-    zeta_product_check,
-    zeta_value,
-)
+import importlib
+
 from .nets import (
+    EnumerationBudgetError,
     NetSpec,
     PointBlock,
     ReductionSchedule,
@@ -39,18 +30,6 @@ from .product import (
     op_count_model,
     qmc_estimate,
     standard_product,
-)
-from .quality import (
-    DEFAULT_BUDGET,
-    EnumerationBudgetError,
-    QualityReport,
-    TheoremBounds,
-    analyze,
-    rho,
-    strict_t,
-    theorem_bounds,
-    verify_tmes_net,
-    verify_tms_net,
 )
 
 __all__ = [
@@ -96,3 +75,20 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Load ``quality`` and ``discrepancy`` on first use of one of their names
+    (PEP 562), so the product path never compiles them.  A name is looked up
+    on its module at every access and never copied here, so a module
+    attribute replaced later shows through."""
+    for sub in ("quality", "discrepancy"):
+        if name == sub or name in __all__:
+            module = importlib.import_module(f".{sub}", __name__)
+            if name == sub or name in module.__all__:
+                return module if name == sub else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, "quality", "discrepancy"})

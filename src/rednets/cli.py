@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 import time
 from contextlib import contextmanager
@@ -20,8 +19,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .discrepancy import WeightModel, global_disc_bound
 from .nets import (
+    EnumerationBudgetError,
     NetSpec,
     ReductionSchedule,
     _check_block,
@@ -42,14 +41,6 @@ from .product import (
     standard_product,
     write_product_bin,
     write_product_csv,
-)
-from .quality import (
-    DEFAULT_BUDGET,
-    EnumerationBudgetError,
-    _projection_t,
-    analyze,
-    rho,
-    strict_t,
 )
 
 # Frozen schema; the products are single-threaded, so ``workers`` is always 1,
@@ -139,6 +130,8 @@ def _cmd_points(args: argparse.Namespace) -> int:
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:
+    from .quality import DEFAULT_BUDGET, rho
+
     net = _load_net(args.net)
     u = parse_subset(args.u)
     value = rho(net, u, budget=_env_int("REDNETS_ENUM_BUDGET", DEFAULT_BUDGET))
@@ -147,6 +140,8 @@ def _cmd_rho(args: argparse.Namespace) -> int:
 
 
 def _cmd_tvalue(args: argparse.Namespace) -> int:
+    from .quality import DEFAULT_BUDGET, strict_t
+
     net = _load_net(args.net)
     u = parse_subset(args.u)
     budget = _env_int("REDNETS_ENUM_BUDGET", DEFAULT_BUDGET)
@@ -156,6 +151,8 @@ def _cmd_tvalue(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .quality import DEFAULT_BUDGET, analyze
+
     net = _load_net(args.net)
     sched = parse_schedule(args.w, net.s, net.base, net.m)
     budget = _env_int("REDNETS_ENUM_BUDGET", DEFAULT_BUDGET)
@@ -165,6 +162,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_disc_bound(args: argparse.Namespace) -> int:
+    from .discrepancy import WeightModel, global_disc_bound
+    from .quality import DEFAULT_BUDGET, _projection_t
+
     net = _load_net(args.net)
     sched = parse_schedule(args.w, net.s, net.base, net.m)
     weights = WeightModel.parse(args.weights)
@@ -208,6 +208,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
 def _bench_config(
     b: int, m: int, s: int, tau: int, scheme: str, seed: int, reps: int
 ) -> list[dict]:
+    import statistics  # not at module level: it loads fractions and decimal
+
     net = random_net(b, m, s, seed)
     sched = parse_schedule(scheme, s, b, m)
     reduced = column_reduce(net, sched)
@@ -253,6 +255,8 @@ def _bench_config(
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 3:
         raise ValueError("need at least 3 repetitions for a median")
+    if args.tau < 1:
+        raise ValueError(f"--tau must be >= 1, got {args.tau}")
     m_list = [int(x) for x in args.m_list.split(",")]
     s_list = [int(x) for x in args.s_list.split(",")]
     for m in m_list:

@@ -314,6 +314,10 @@ def block_diag_seq(digits: np.ndarray, base: int, t: int, m: int) -> NetSpec:
     return NetSpec(base, m, np.stack((first, second)), declared_t=t)
 
 
+class EnumerationBudgetError(RuntimeError):
+    """Raised when a brute-force enumeration would exceed its work budget."""
+
+
 def _check_entries(count: int, what: str) -> None:
     """Raise ValueError before allocating a block of more than _MAX_ENTRIES."""
     if count > _MAX_ENTRIES:

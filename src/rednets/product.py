@@ -176,6 +176,16 @@ def _check_a(a: np.ndarray, s: int) -> np.ndarray:
     return a
 
 
+def _aligned_zeros(shape: tuple[int, int]) -> np.ndarray:
+    """Zeroed float64 array whose data starts on a 64-byte boundary, so that
+    the rank-one loop of ``standard_product`` (up to a third slower on an
+    unaligned operand) does not depend on where the allocator puts it."""
+    count = shape[0] * shape[1]
+    buf = np.zeros(count + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start : start + count].reshape(shape)
+
+
 def standard_product(
     net: NetSpec,
     a: np.ndarray,
@@ -195,8 +205,7 @@ def standard_product(
     n, tau = b**m, a.shape[1]
     _check_entries(n * tau, "product block")
     grid = transform.apply(np.arange(n) / float(n))
-    acc = np.zeros((tau, n), dtype=np.float64)
-    tmp = np.empty_like(acc)
+    acc, tmp = _aligned_zeros((tau, n)), _aligned_zeros((tau, n))
     k = max(1, _CHUNK_ENTRIES // n)
     for j0 in range(0, net.s, k):
         nums = coordinate_numerators(net.digits[j0 : j0 + k], b, m)

@@ -19,7 +19,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .gfmat import _rank_form, _rank_rows
-from .nets import NetSpec, PointBlock, ReductionSchedule, _check_block, column_reduce
+from .nets import (
+    EnumerationBudgetError, NetSpec, PointBlock, ReductionSchedule, _check_block, column_reduce,
+)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -35,10 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
-
-
-class EnumerationBudgetError(RuntimeError):
-    """Raised when a brute-force enumeration would exceed its work budget."""
 
 
 def compositions(total: int, steps: Sequence[int]) -> Iterator[tuple[int, ...]]:

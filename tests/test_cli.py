@@ -396,6 +396,14 @@ def test_bench_rejects_too_few_reps(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tau", ["0", "-1"])
+def test_bench_rejects_tau_below_one(capsys, tau):
+    code, out, err = run(capsys, "bench", "--b", "2", "--m-list", "4", "--tau", tau,
+                         "--s-list", "2", "--out", "-")
+    assert (code, out) == (2, "")
+    assert err == f"error: --tau must be >= 1, got {tau}\n"
+
+
 def test_determinism_same_seed_same_bytes(tmp_path, capsys):
     first = {}
     second = {}

@@ -18,6 +18,7 @@ from rednets.product import (
     _C,
     _D,
     _P_LOW,
+    _aligned_zeros,
     read_matrix_csv,
     read_product_bin,
     write_product_bin,
@@ -125,6 +126,21 @@ def test_standard_product_identity_matrix_returns_points():
 def test_standard_product_zero_matrix():
     out = rn.standard_product(rn.pascal_net(2, 3, 2), np.zeros((2, 3)))
     assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(0, 8), (1, 1), (3, 5), (20, 4096)])
+def test_aligned_zeros_is_a_zeroed_cache_line_aligned_block(shape):
+    for _ in range(8):  # several allocations, so several allocator offsets
+        block = _aligned_zeros(shape)
+        assert block.size == 0 or block.ctypes.data % 64 == 0
+        assert block.shape == shape and block.dtype == np.float64
+        assert block.flags.c_contiguous and block.flags.writeable
+        assert not block.any()
+
+
+def test_standard_product_with_no_columns_is_empty():
+    out = rn.standard_product(rn.pascal_net(3, 2, 2), np.zeros((2, 0)))
+    assert out.shape == (9, 0)
 
 
 def test_standard_product_row_sums_small_net():
