@@ -254,7 +254,7 @@ def _bench_config(
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 3:
-        raise ValueError("need at least 3 repetitions for a median")
+        raise ValueError(f"--reps must be >= 3 for a median, got {args.reps}")
     if args.tau < 1:
         raise ValueError(f"--tau must be >= 1, got {args.tau}")
     m_list = [int(x) for x in args.m_list.split(",")]

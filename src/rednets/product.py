@@ -9,11 +9,14 @@ column-reduced net: coordinate j repeats its leading b^(m - w_j) values
 b^(w_j) times, so the running product is tiled vertically and updated with
 one rank-one term per coordinate, from the last unreduced coordinate down
 to the first.  Neither route calls BLAS, so no output depends on its thread
-count.
+count.  The products stay single-threaded; only the CSV writer may fork, on
+Linux, for outputs of at least 2^15 values, and its bytes do not depend on
+the workers.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import IO, Callable
@@ -80,6 +83,8 @@ _P_LOW = 0.02425
 
 # Numerators per point-kernel call in the standard product (2 MiB of int64).
 _CHUNK_ENTRIES = 1 << 18
+# Fewest values per forked block of the product CSV writer.
+_CSV_BLOCK_VALUES = 1 << 14
 
 
 def norm_inverse(p: np.ndarray) -> np.ndarray:
@@ -253,24 +258,25 @@ def fast_reduced_product(
     # phi(n / b^m) for every numerator n, so no level block is transformed
     grid = transform.apply(np.arange(b**m) / float(b**m))
     phi0 = float(grid[0])
-    p = np.zeros((1, tau), dtype=np.float64)
+    # (tau, rows), as in standard_product: each rank-one term runs along rows
+    p = np.zeros((tau, 1), dtype=np.float64)
     if s_star < net.s and phi0 != 0.0:
-        p += phi0 * a[s_star:].sum(axis=0)[None, :]
+        p += phi0 * a[s_star:].sum(axis=0)[:, None]
 
     hi = s_star
     while hi > 0:
         wv = sched.w[hi - 1]
         w_next = m if hi == s_star else min(sched.w[hi], m)
         if w_next > wv:
-            p = np.tile(p, (b ** (w_next - wv), 1))
+            p = np.tile(p, (1, b ** (w_next - wv)))
         # coordinates lo+1..hi share w, hence one index range and one kernel
         # call; at most tau b^w of them, so the block is no larger than p
         lo = max(sched.w.index(wv), hi - max(tau, 1) * b**wv)
         nums = coordinate_numerators(net.digits[lo:hi], b, m - wv)
         for j in range(hi, lo, -1):
-            p += grid[nums[:, j - lo - 1], None] * a[j - 1, None, :]
+            p += a[j - 1, :, None] * grid[nums[:, j - lo - 1]]
         hi = lo
-    return p
+    return np.ascontiguousarray(p.T)
 
 
 @dataclass(frozen=True)
@@ -340,15 +346,87 @@ def _is_number(cell: str) -> bool:
         return False
 
 
+def _csv_rows(block: np.ndarray) -> str:
+    """CSV lines of a float64 block, each value the ``repr`` of its float."""
+    return "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()])
+
+
+def _write_csv_rows(block: np.ndarray, fh: IO[str]) -> None:
+    # 256 rows at a time: tolist() makes a 24-byte Python float per value
+    for start in range(0, block.shape[0], 256):
+        fh.write(_csv_rows(block[start : start + 256]))
+
+
+def _fork_csv_rows(block: np.ndarray, inherited: list[int]) -> tuple[int | None, int | None]:
+    """Start a child that writes ``_csv_rows(block)`` to a pipe: its pid and
+    the read end, or ``(None, None)`` when no child could be started."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None, None
+    if pid == 0:
+        # Safe although the parent may have other threads (OpenBLAS's pool):
+        # the child runs no BLAS and takes no lock, only tolist, repr and
+        # os.write, and it leaves by os._exit, so it runs no exit handler and
+        # flushes no buffer it inherited (the parent's fh included).
+        code = 1
+        try:
+            for fd in (r, *inherited):
+                os.close(fd)
+            data = memoryview(_csv_rows(block).encode())
+            while data:
+                data = data[os.write(w, data) :]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
 def write_product_csv(p: np.ndarray, fh: IO[str]) -> None:
     """CSV with header ``y1,...,ytau``; each value is ``repr`` of a Python
-    float, the shortest string that reads back to the same float64."""
+    float, the shortest string that reads back to the same float64.
+
+    ``repr`` is the whole cost, so on a host with k > 1 usable CPUs an output
+    of at least 2 * 2^14 values is cut into up to k contiguous row blocks,
+    and blocks 2.. are formatted in forked children while this process
+    formats block 1.  A block whose child fails or whose text ends short is
+    formatted here instead, so the bytes never depend on the workers.
+    """
     fh.write(",".join(f"y{j + 1}" for j in range(p.shape[1])) + "\n")
     p = np.asarray(p, dtype=np.float64)
-    # 256 rows at a time: tolist() makes a 24-byte Python float per value
-    for start in range(0, p.shape[0], 256):
-        for row in p[start : start + 256].tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    affinity = getattr(os, "sched_getaffinity", None)
+    k = max(1, min(len(affinity(0)) if affinity else 1, p.size // _CSV_BLOCK_VALUES))
+    bounds = [i * p.shape[0] // k for i in range(k + 1)]
+    workers: list[list] = []  # [pid, read end, block]; pid None once reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            inherited = [w[1] for w in workers if w[1] is not None]
+            workers.append([*_fork_csv_rows(p[lo:hi], inherited), p[lo:hi]])
+        _write_csv_rows(p[: bounds[1]], fh)
+        for worker in workers:
+            pid, r, block = worker
+            if pid is not None:
+                with open(r, "rb", closefd=False) as pipe:
+                    text = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                worker[0] = None
+                if os.waitstatus_to_exitcode(status) == 0 and text.count(b"\n") == len(block):
+                    for start in range(0, len(text), 1 << 16):  # no second copy of text
+                        fh.write(text[start : start + (1 << 16)].decode())
+                    continue
+            _write_csv_rows(block, fh)
+    finally:
+        # read ends first: a child blocked on a full pipe then gets EPIPE
+        for _, r, _ in workers:
+            if r is not None:
+                os.close(r)
+        for pid, _, _ in workers:
+            if pid is not None:
+                os.waitpid(pid, 0)
 
 
 def write_product_bin(p: np.ndarray, fh: IO[bytes]) -> None:

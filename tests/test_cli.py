@@ -391,9 +391,10 @@ def test_bench_single_coordinate_no_reduction_benefit(tmp_path, capsys):
 
 
 def test_bench_rejects_too_few_reps(capsys):
-    code, _, err = run(capsys, "bench", "--b", "2", "--m-list", "4", "--tau", "2",
-                       "--s-list", "2", "--reps", "2", "--out", "-")
-    assert code == 2
+    code, out, err = run(capsys, "bench", "--b", "2", "--m-list", "4", "--tau", "2",
+                         "--s-list", "2", "--reps", "2", "--out", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: --reps must be >= 3 for a median, got 2\n"
 
 
 @pytest.mark.parametrize("tau", ["0", "-1"])

@@ -1,6 +1,9 @@
 """Tests for standard and fast reduced matrix products."""
 
+import errno
 import io
+import os
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rednets as rn
+import rednets.product
 from oracles import coords, from_rows, net_from_matrices
 from rednets.cli import main
 from rednets.product import (
@@ -570,6 +574,115 @@ def test_product_csv_is_repr_of_each_float():
         rows = [",".join(repr(float(v)) for v in row) for row in p]
         head = ",".join(f"y{j + 1}" for j in range(p.shape[1]))
         assert buf.getvalue() == "\n".join([head] + rows) + "\n"
+
+
+# 4099 x 32 values: up to 8 forked blocks, and rows that do not split evenly
+FORKED = np.random.default_rng(3).standard_normal((4099, 32)) * 10.0 ** np.arange(-16, 16)
+FORKED_CSV = "\n".join(
+    [",".join(f"y{j + 1}" for j in range(32))]
+    + [",".join(repr(float(v)) for v in row) for row in FORKED]
+) + "\n"
+
+
+def count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def write_forked(tmp_path):
+    path = tmp_path / "p.csv"
+    with open(path, "w") as fh:
+        write_product_csv(FORKED, fh)
+    return path.read_text()
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, not hang, when the writer waits on a child that never ends."""
+    def expire(signum, frame):
+        raise TimeoutError("write_product_csv did not return within 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("cpus", [{0}, "default", set(range(16)), "missing"])
+def test_product_csv_bytes_do_not_depend_on_the_workers(tmp_path, monkeypatch, cpus):
+    if cpus == "missing":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    elif cpus != "default":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    affinity = getattr(os, "sched_getaffinity", None)
+    started = count_forks(monkeypatch)
+    assert write_forked(tmp_path) == FORKED_CSV
+    assert len(started) == (min(len(affinity(0)), 8) - 1 if affinity else 0)
+    assert_no_children()
+
+
+def test_product_csv_small_outputs_fork_nothing(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    started = count_forks(monkeypatch)
+    p = FORKED[: (1 << 15) // 32 - 1]  # one row short of 2^15 values
+    buf = io.StringIO()
+    write_product_csv(p, buf)
+    assert buf.getvalue() == FORKED_CSV[: len(buf.getvalue())]
+    assert buf.getvalue().count("\n") == len(p) + 1
+    assert started == []
+
+
+@pytest.mark.parametrize("failure", ["exit", "short", "fork"])
+def test_product_csv_failed_workers_give_the_same_bytes(tmp_path, monkeypatch, deadline, failure):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    parent, real = os.getpid(), rednets.product._csv_rows
+
+    def flaky(block):
+        if os.getpid() == parent:
+            return real(block)
+        if failure == "exit":
+            os._exit(1)
+        return real(block)[:-3]  # exits 0 with the last row cut short
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(rednets.product, "_csv_rows", flaky)
+    started = count_forks(monkeypatch)
+    if failure == "fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    assert write_forked(tmp_path) == FORKED_CSV
+    assert len(started) == (0 if failure == "fork" else 3)
+    assert_no_children()
+
+
+def test_product_csv_reaps_every_worker_when_the_file_write_fails(monkeypatch, deadline):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    started = count_forks(monkeypatch)
+
+    class Full(io.StringIO):
+        def write(self, text):
+            if self.tell():
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(text)
+
+    with pytest.raises(OSError, match="No space left"):
+        write_product_csv(FORKED, Full())
+    assert len(started) == 3
+    assert_no_children()
 
 
 def test_product_binary_round_trip():
