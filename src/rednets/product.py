@@ -10,7 +10,7 @@ b^(w_j) times, so the running product is tiled vertically and updated with
 one rank-one term per coordinate, from the last unreduced coordinate down
 to the first.  Neither route calls BLAS, so no output depends on its thread
 count.  The products stay single-threaded; only the CSV writer may fork, on
-Linux, for outputs of at least 2^15 values, and its bytes do not depend on
+Linux, for outputs of at least 2^14 values, and its bytes do not depend on
 the workers.
 """
 
@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
+import warnings
 from dataclasses import dataclass
-from typing import IO, Callable
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -83,8 +85,14 @@ _P_LOW = 0.02425
 
 # Numerators per point-kernel call in the standard product (2 MiB of int64).
 _CHUNK_ENTRIES = 1 << 18
-# Fewest values per forked block of the product CSV writer.
-_CSV_BLOCK_VALUES = 1 << 14
+# Fewest values per forked block of the product CSV writer.  On a 2-CPU
+# x86-64 Linux host a child costs 6-7 ms (file, fork, wait); writing 2^e
+# values in two blocks against one took, as a median of 31-41 alternating
+# writes at tau 1 and 20, 1.3-2.0x the time at e = 12, 0.95-1.51x at e = 13
+# and 0.78-0.85x at e = 14, so the writer forks from 2^14 values.
+_CSV_BLOCK_VALUES = 1 << 13
+# Bytes per slice when a forked block's text is copied into the output.
+_COPY_BYTES = 1 << 16
 
 
 def norm_inverse(p: np.ndarray) -> np.ndarray:
@@ -357,33 +365,40 @@ def _write_csv_rows(block: np.ndarray, fh: IO[str]) -> None:
         fh.write(_csv_rows(block[start : start + 256]))
 
 
-def _fork_csv_rows(block: np.ndarray, inherited: list[int]) -> tuple[int | None, int | None]:
-    """Start a child that writes ``_csv_rows(block)`` to a pipe: its pid and
-    the read end, or ``(None, None)`` when no child could be started."""
-    r, w = os.pipe()
+def _fork_csv_rows(block: np.ndarray) -> tuple[int | None, IO[bytes] | None]:
+    """Start a child that writes the block's CSV lines to an unlinked
+    temporary file: its pid and the file, or ``(None, None)`` when no child
+    could be started."""
+    tmp = None
     try:
-        pid = os.fork()
+        tmp = tempfile.TemporaryFile()
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns here when other threads exist (OpenBLAS's
+            # pool); as an error it would lose the child's pid.  The child is
+            # safe: it runs no BLAS and takes no lock, only tolist, repr and
+            # writes, and it leaves by os._exit, so it runs no exit handler
+            # and flushes no buffer it inherited (the parent's fh included).
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
+        if tmp is not None:
+            tmp.close()
         return None, None
     if pid == 0:
-        # Safe although the parent may have other threads (OpenBLAS's pool):
-        # the child runs no BLAS and takes no lock, only tolist, repr and
-        # os.write, and it leaves by os._exit, so it runs no exit handler and
-        # flushes no buffer it inherited (the parent's fh included).
         code = 1
         try:
-            for fd in (r, *inherited):
-                os.close(fd)
-            data = memoryview(_csv_rows(block).encode())
-            while data:
-                data = data[os.write(w, data) :]
+            with open(tmp.fileno(), "w", encoding="ascii", newline="", closefd=False) as out:
+                _write_csv_rows(block, out)
             code = 0
         finally:
             os._exit(code)
-    os.close(w)
-    return pid, r
+    return pid, tmp
+
+
+def _slices(tmp: IO[bytes]) -> Iterator[bytes]:
+    """The file's bytes from the start, _COPY_BYTES at a time."""
+    tmp.seek(0)
+    return iter(lambda: tmp.read(_COPY_BYTES), b"")
 
 
 def write_product_csv(p: np.ndarray, fh: IO[str]) -> None:
@@ -391,42 +406,40 @@ def write_product_csv(p: np.ndarray, fh: IO[str]) -> None:
     float, the shortest string that reads back to the same float64.
 
     ``repr`` is the whole cost, so on a host with k > 1 usable CPUs an output
-    of at least 2 * 2^14 values is cut into up to k contiguous row blocks,
-    and blocks 2.. are formatted in forked children while this process
-    formats block 1.  A block whose child fails or whose text ends short is
-    formatted here instead, so the bytes never depend on the workers.
+    of at least 2 * _CSV_BLOCK_VALUES values is cut into up to k contiguous
+    row blocks, and blocks 2.. are formatted by forked children into unlinked
+    temporary files while this process formats block 1; their text is then
+    copied here in slices, so neither side holds a block's text at once.  A
+    block whose child fails or whose text ends short is formatted here
+    instead, so the bytes never depend on the workers.
     """
     fh.write(",".join(f"y{j + 1}" for j in range(p.shape[1])) + "\n")
     p = np.asarray(p, dtype=np.float64)
     affinity = getattr(os, "sched_getaffinity", None)
     k = max(1, min(len(affinity(0)) if affinity else 1, p.size // _CSV_BLOCK_VALUES))
     bounds = [i * p.shape[0] // k for i in range(k + 1)]
-    workers: list[list] = []  # [pid, read end, block]; pid None once reaped
+    workers: list[list] = []  # [pid, file, block]; pid None once reaped
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            inherited = [w[1] for w in workers if w[1] is not None]
-            workers.append([*_fork_csv_rows(p[lo:hi], inherited), p[lo:hi]])
+            workers.append([*_fork_csv_rows(p[lo:hi]), p[lo:hi]])
         _write_csv_rows(p[: bounds[1]], fh)
         for worker in workers:
-            pid, r, block = worker
+            pid, tmp, block = worker
             if pid is not None:
-                with open(r, "rb", closefd=False) as pipe:
-                    text = pipe.read()
                 status = os.waitpid(pid, 0)[1]
                 worker[0] = None
-                if os.waitstatus_to_exitcode(status) == 0 and text.count(b"\n") == len(block):
-                    for start in range(0, len(text), 1 << 16):  # no second copy of text
-                        fh.write(text[start : start + (1 << 16)].decode())
+                exited = os.waitstatus_to_exitcode(status) == 0
+                if exited and sum(chunk.count(b"\n") for chunk in _slices(tmp)) == len(block):
+                    for chunk in _slices(tmp):
+                        fh.write(chunk.decode("ascii"))
                     continue
             _write_csv_rows(block, fh)
     finally:
-        # read ends first: a child blocked on a full pipe then gets EPIPE
-        for _, r, _ in workers:
-            if r is not None:
-                os.close(r)
-        for pid, _, _ in workers:
-            if pid is not None:
+        for pid, tmp, _ in workers:
+            if pid is not None:  # only when this process raised
                 os.waitpid(pid, 0)
+            if tmp is not None:
+                tmp.close()
 
 
 def write_product_bin(p: np.ndarray, fh: IO[bytes]) -> None:

@@ -4,6 +4,9 @@ import errno
 import io
 import os
 import signal
+import tempfile
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -576,8 +579,8 @@ def test_product_csv_is_repr_of_each_float():
         assert buf.getvalue() == "\n".join([head] + rows) + "\n"
 
 
-# 4099 x 32 values: up to 8 forked blocks, and rows that do not split evenly
-FORKED = np.random.default_rng(3).standard_normal((4099, 32)) * 10.0 ** np.arange(-16, 16)
+# 2051 x 32 values: up to 8 blocks of 2^13 values, and rows that do not split evenly
+FORKED = np.random.default_rng(3).standard_normal((2051, 32)) * 10.0 ** np.arange(-16, 16)
 FORKED_CSV = "\n".join(
     [",".join(f"y{j + 1}" for j in range(32))]
     + [",".join(repr(float(v)) for v in row) for row in FORKED]
@@ -630,14 +633,15 @@ def test_product_csv_bytes_do_not_depend_on_the_workers(tmp_path, monkeypatch, c
     affinity = getattr(os, "sched_getaffinity", None)
     started = count_forks(monkeypatch)
     assert write_forked(tmp_path) == FORKED_CSV
-    assert len(started) == (min(len(affinity(0)), 8) - 1 if affinity else 0)
+    blocks = FORKED.size // rednets.product._CSV_BLOCK_VALUES
+    assert len(started) == (min(len(affinity(0)), blocks) - 1 if affinity else 0)
     assert_no_children()
 
 
 def test_product_csv_small_outputs_fork_nothing(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     started = count_forks(monkeypatch)
-    p = FORKED[: (1 << 15) // 32 - 1]  # one row short of 2^15 values
+    p = FORKED[: 2 * rednets.product._CSV_BLOCK_VALUES // 32 - 1]  # one row short of two blocks
     buf = io.StringIO()
     write_product_csv(p, buf)
     assert buf.getvalue() == FORKED_CSV[: len(buf.getvalue())]
@@ -645,7 +649,7 @@ def test_product_csv_small_outputs_fork_nothing(monkeypatch):
     assert started == []
 
 
-@pytest.mark.parametrize("failure", ["exit", "short", "fork"])
+@pytest.mark.parametrize("failure", ["exit", "short", "fork", "file"])
 def test_product_csv_failed_workers_give_the_same_bytes(tmp_path, monkeypatch, deadline, failure):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     parent, real = os.getpid(), rednets.product._csv_rows
@@ -655,18 +659,73 @@ def test_product_csv_failed_workers_give_the_same_bytes(tmp_path, monkeypatch, d
             return real(block)
         if failure == "exit":
             os._exit(1)
-        return real(block)[:-3]  # exits 0 with the last row cut short
+        return real(block)[:-3]  # exits 0 with rows cut short
 
     def no_fork():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def no_file():
+        raise OSError(errno.EMFILE, "Too many open files")
 
     monkeypatch.setattr(rednets.product, "_csv_rows", flaky)
     started = count_forks(monkeypatch)
     if failure == "fork":
         monkeypatch.setattr(os, "fork", no_fork)
+    if failure == "file":
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
     assert write_forked(tmp_path) == FORKED_CSV
-    assert len(started) == (0 if failure == "fork" else 3)
+    assert len(started) == (0 if failure in ("fork", "file") else 3)
     assert_no_children()
+
+
+def test_product_csv_keeps_every_worker_when_fork_warns(tmp_path, monkeypatch, deadline):
+    """Python >= 3.12 warns after forking a process with threads; under
+    error::DeprecationWarning that must not lose the child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    real = os.fork
+
+    def warning_fork():
+        pid = real()
+        if pid:
+            warnings.warn("this process is multi-threaded, use of fork() may lead to deadlocks",
+                          DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    started = count_forks(monkeypatch)
+    assert write_forked(tmp_path) == FORKED_CSV
+    assert len(started) == 3
+    assert_no_children()
+
+
+def test_product_csv_workers_hold_no_block_text_in_memory(tmp_path, monkeypatch, deadline):
+    """A child formats 256 rows at a time into its file and the parent copies
+    it in slices: neither holds a block's text (here about 2.5 MB)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent, real_exit = os.getpid(), os._exit
+    child_peak = tmp_path / "child_peak"
+
+    def exit_(code):
+        try:
+            if os.getpid() != parent:
+                child_peak.write_text(str(tracemalloc.get_traced_memory()[1]))
+        finally:
+            real_exit(code)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    p = np.random.default_rng(4).standard_normal((1 << 15, 8))
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "p.csv", "w") as fh:
+            write_product_csv(p, fh)
+        parent_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "p.csv").read_text()
+    assert text.count("\n") == len(p) + 1
+    assert text.splitlines()[-1] == ",".join(map(repr, p[-1].tolist()))
+    assert parent_peak < 1 << 20
+    assert int(child_peak.read_text()) < 1 << 20
 
 
 def test_product_csv_reaps_every_worker_when_the_file_write_fails(monkeypatch, deadline):
