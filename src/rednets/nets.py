@@ -12,8 +12,9 @@ denominator b^m so that net properties can be verified without rounding.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -138,12 +139,14 @@ class ReductionSchedule:
         """
         if num < 0 or den < 1:
             raise ValueError("exponent must be a nonnegative rational")
-        w = []
+        w, k, step = [], 0, base**den
         for j in range(1, s + 1):
-            k = 0
-            # largest k with base^(k*den) <= j^num
-            while base ** ((k + 1) * den) <= j**num:
+            # largest k with base^(k*den) <= j^num; it never decreases in j,
+            # so the search resumes from the k of j - 1
+            power = j**num
+            while step <= power:
                 k += 1
+                step *= base**den
             w.append(min(k, m))
         return cls(tuple(w))
 
@@ -358,6 +361,26 @@ def coordinate_numerators(digits: np.ndarray, base: int, n_digits: int) -> np.nd
     return _numerators_digits(c, base, n_digits)
 
 
+@contextmanager
+def _small_ufunc_buffer() -> Iterator[None]:
+    """Run the block under a ufunc buffer of 512 elements.
+
+    numpy 2.4 copies a broadcast binary ufunc into a C-contiguous 2-d block
+    through its buffer (8192 elements by default) whenever the rows are
+    shorter than a third of it and there are at least 3 of them: a rank-one
+    update ``a[:, None] * x`` of a (tau, R) block ran 3-4x slower for
+    R < 2731 (1024, 512 and 256 elements measured alike).  No result depends
+    on the size: the loops run under it are elementwise, with no cast and no
+    reduction.  The old size is restored by hand, since ``np.errstate`` does
+    not restore it before numpy 2.0.
+    """
+    old = np.setbufsize(512)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _numerators_xor(c: np.ndarray, n_digits: int) -> np.ndarray:
     """Base-2 kernel on a (k, m, m) digit array.
 
@@ -369,9 +392,10 @@ def _numerators_xor(c: np.ndarray, n_digits: int) -> np.ndarray:
     cols = np.einsum("kri,r->ik", c, weights)
     out = np.zeros((k, 1 << n_digits), dtype=np.int64)
     n = 1
-    for i in range(n_digits):
-        np.bitwise_xor(out[:, :n], cols[i][:, None], out=out[:, n : 2 * n])
-        n *= 2
+    with _small_ufunc_buffer():
+        for i in range(n_digits):
+            np.bitwise_xor(out[:, :n], cols[i][:, None], out=out[:, n : 2 * n])
+            n *= 2
     return out.T
 
 

@@ -9,9 +9,13 @@ column-reduced net: coordinate j repeats its leading b^(m - w_j) values
 b^(w_j) times, so the running product is tiled vertically and updated with
 one rank-one term per coordinate, from the last unreduced coordinate down
 to the first.  Neither route calls BLAS, so no output depends on its thread
-count.  The products stay single-threaded; only the CSV writer may fork, on
-Linux, for outputs of at least 2^14 values, and its bytes do not depend on
-the workers.
+count.  Both run their rank-one loops under a small ufunc buffer
+(``nets._small_ufunc_buffer``): numpy otherwise copies a broadcast update of
+a (tau, R) block through its buffer for R < 2731, 3-4x slower.  No output
+depends on the buffer size, since those loops are elementwise, with no cast
+and no reduction.  The products stay single-threaded; only the CSV writer
+may fork, on Linux, for outputs of at least 2^14 values, and its bytes do
+not depend on the workers.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .nets import (
     _check_entries,
     _kept_columns,
     _loadtxt,
+    _small_ufunc_buffer,
     coordinate_numerators,
 )
 
@@ -98,7 +103,8 @@ _COPY_BYTES = 1 << 16
 def norm_inverse(p: np.ndarray) -> np.ndarray:
     """Inverse standard normal CDF on (0, 1), elementwise."""
     p = np.asarray(p, dtype=np.float64)
-    if p.size and (p.min() <= 0.0 or p.max() >= 1.0):
+    # min and max propagate NaN, and NaN fails both comparisons
+    if p.size and not (p.min() > 0.0 and p.max() < 1.0):
         raise ValueError("arguments must lie strictly inside (0, 1)")
     out = np.empty_like(p)
 
@@ -222,9 +228,10 @@ def standard_product(
     k = max(1, _CHUNK_ENTRIES // n)
     for j0 in range(0, net.s, k):
         nums = coordinate_numerators(net.digits[j0 : j0 + k], b, m)
-        for j in range(nums.shape[1]):
-            np.multiply(a[j0 + j, :, None], grid[nums[:, j]][None, :], out=tmp)
-            acc += tmp
+        with _small_ufunc_buffer():
+            for j in range(nums.shape[1]):
+                np.multiply(a[j0 + j, :, None], grid[nums[:, j]][None, :], out=tmp)
+                acc += tmp
         del nums  # so that the next chunk does not coexist with this one
     return np.ascontiguousarray(acc.T)
 
@@ -281,8 +288,9 @@ def fast_reduced_product(
         # call; at most tau b^w of them, so the block is no larger than p
         lo = max(sched.w.index(wv), hi - max(tau, 1) * b**wv)
         nums = coordinate_numerators(net.digits[lo:hi], b, m - wv)
-        for j in range(hi, lo, -1):
-            p += a[j - 1, :, None] * grid[nums[:, j - lo - 1]]
+        with _small_ufunc_buffer():
+            for j in range(hi, lo, -1):
+                p += a[j - 1, :, None] * grid[nums[:, j - lo - 1]]
         hi = lo
     return np.ascontiguousarray(p.T)
 

@@ -130,6 +130,36 @@ def test_standard_product_builds_no_point_block(tmp_path, capsys):
     assert peak < 4 << 20
 
 
+def test_every_command_leaves_the_ufunc_buffer_size_as_it_was(tmp_path, capsys):
+    net, red, a = tmp_path / "net.txt", tmp_path / "red.txt", tmp_path / "a.csv"
+    a.write_text("0.5,-1.25,2.0\n" * 5)
+    commands = [
+        ["gen", "--b", "3", "--m", "7", "--s", "5", "--source", "random",
+         "--seed", "2", "--out", str(net)],
+        ["reduce", "--net", str(net), "--w", "sqrtlog", "--out", str(red)],
+        ["points", "--net", str(red), "--out", str(tmp_path / "x.csv")],
+        ["rho", "--net", str(red)],
+        ["tvalue", "--net", str(red)],
+        ["report", "--net", str(red), "--w", "sqrtlog"],
+        ["disc-bound", "--net", str(red), "--w", "sqrtlog", "--weights", "const:1"],
+        ["product", "--net", str(red), "--a", str(a), "--algo", "fast",
+         "--w", "sqrtlog", "--transform", "norminv", "--out", str(tmp_path / "f.csv")],
+        ["product", "--net", str(red), "--a", str(a), "--algo", "standard",
+         "--bin", "--out", str(tmp_path / "s.bin")],
+        # exits 2: the net was reduced by sqrtlog, not log
+        ["product", "--net", str(red), "--a", str(a), "--algo", "fast",
+         "--w", "log", "--out", str(tmp_path / "bad.csv")],
+        ["bench", "--b", "2", "--m-list", "6,7", "--tau", "3", "--s-list", "20",
+         "--w-scheme", "log", "--reps", "3", "--out", str(tmp_path / "bench.csv")],
+    ]
+    old = np.setbufsize(4096)
+    try:
+        seen = [(run(capsys, *argv)[0], np.getbufsize()) for argv in commands]
+    finally:
+        np.setbufsize(old)
+    assert seen == [(0, 4096)] * 9 + [(2, 4096), (0, 4096)]
+
+
 def test_report_command(tmp_path, capsys):
     net = tmp_path / "net.txt"
     run(capsys, "gen", "--b", "2", "--m", "4", "--s", "2", "--out", str(net))

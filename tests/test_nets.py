@@ -364,6 +364,24 @@ def test_floor_log_schedules():
     assert max(capped.w) == 3
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    s=st.integers(1, 300),
+    base=st.sampled_from([2, 3, 5, 7, 11, 257]),
+    m=st.integers(1, 30),
+    num=st.integers(0, 6),
+    den=st.integers(1, 6),
+)
+def test_floor_log_equals_the_per_coordinate_search(s, base, m, num, den):
+    want = []
+    for j in range(1, s + 1):
+        k = 0  # largest k with base^(k*den) <= j^num, searched from 0
+        while base ** ((k + 1) * den) <= j**num:
+            k += 1
+        want.append(min(k, m))
+    assert rn.ReductionSchedule.floor_log(s, base, m, num, den).w == tuple(want)
+
+
 # --- sharpness constructions -----------------------------------------------
 
 

@@ -110,6 +110,17 @@ def test_norm_inverse_rejects_out_of_range():
         rn.norm_inverse(np.array([1.0]))
 
 
+@pytest.mark.parametrize("values", [
+    [np.nan],
+    [0.5, np.nan],
+    [np.nan, 0.25, 0.75],
+    [0.1, 0.2, np.nan, 0.9],
+])
+def test_norm_inverse_rejects_nan(values):
+    with pytest.raises(ValueError, match=r"^arguments must lie strictly inside \(0, 1\)$"):
+        rn.norm_inverse(np.array(values))
+
+
 def test_transform_validation():
     with pytest.raises(ValueError):
         rn.Transform("norminv", shift=0.0)
@@ -316,6 +327,90 @@ def test_fast_constant_row_for_transformed_reduced_tail():
     fast = rn.fast_reduced_product(red, sched, a, tr)
     phi0 = rn.norm_inverse(np.array([tr.shift]))[0]
     assert np.allclose(fast[:, 0], phi0, rtol=0, atol=0)
+
+
+def whole_block_fast_product(points, s_star, a, transform):
+    """Oracle: the fast product's order on the whole block of a reduced net.
+
+    Start at zero, add phi(0) times the left-to-right sum of the rows of A
+    past s_star, then x_j a_j for j = s_star down to 1.  The points of a
+    reduced coordinate repeat with its period, so each row of this block is
+    a row of the fast product's tiled running block."""
+    x = transform.apply(coords(points))
+    out = np.zeros((points.n_points, a.shape[1]), dtype=np.float64)
+    if s_star < points.s:
+        tail = a[s_star].copy()
+        for j in range(s_star + 1, points.s):
+            tail += a[j]
+        out += x[0, s_star] * tail
+    for j in range(s_star - 1, -1, -1):
+        out += x[:, j, None] * a[j, None, :]
+    return out
+
+
+@pytest.mark.parametrize("base,m,s,num,den", [
+    # level widths b^(m - w) on both sides of 2731 rows
+    (2, 12, 40, 1, 1),  # 4096, 2048, 1024, 512, 256, 128
+    (3, 8, 100, 1, 2),  # 6561, 2187, 729
+    (5, 5, 30, 1, 1),  # 3125, 625, 125
+    (7, 5, 20, 1, 1),  # 16807, 2401
+])
+@pytest.mark.parametrize("tau", [3, 7])
+@pytest.mark.parametrize("kind", sorted(TRANSFORMS))
+def test_fast_product_bits_match_whole_block_oracle(base, m, s, num, den, tau, kind):
+    # three fully reduced coordinates after the floor_log ones
+    w = rn.ReductionSchedule.floor_log(s, base, m, num, den).w + (m, m + 1, m + 1)
+    sched = rn.ReductionSchedule.explicit(w)
+    net = rn.column_reduce(rn.random_net(base, m, len(w), seed=s), sched)
+    a = np.random.default_rng(tau).standard_normal((len(w), tau))
+    tr = TRANSFORMS[kind](base, m)
+    got = rn.fast_reduced_product(net, sched, a, tr)
+    want = whole_block_fast_product(rn.generate_points(net), s, a, tr)
+    assert got.flags.c_contiguous and got.shape == (base**m, tau)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_products_restore_the_ufunc_buffer_size(monkeypatch):
+    # two kernel calls in each product: 400 coordinates of 3^6 numerators
+    # exceed one standard-product chunk, and the fast product has 3 levels
+    base, m, s = 3, 6, 400
+    sched = rn.ReductionSchedule.floor_log(s, base, m, 1, 2)
+    net = rn.column_reduce(rn.random_net(base, m, s, seed=3), sched)
+    a = np.random.default_rng(3).standard_normal((s, 4))
+    products = {
+        "standard": lambda: rn.standard_product(net, a),
+        "fast": lambda: rn.fast_reduced_product(net, sched, a),
+    }
+    old = np.setbufsize(4096)
+    try:
+        for name, product in products.items():
+            product()
+            assert np.getbufsize() == 4096, name
+        rn.nets.coordinate_numerators(rn.random_net(2, 12, 64, seed=1).digits, 2, 12)
+        assert np.getbufsize() == 4096
+
+        kernel, inside = rn.product.coordinate_numerators, []
+
+        class Failing(np.ndarray):
+            def __getitem__(self, key):
+                inside.append(np.getbufsize())
+                raise RuntimeError("column lookup failed")
+
+        for name, product in products.items():
+            calls = []
+
+            def second_fails(*args):
+                calls.append(args)
+                nums = kernel(*args)
+                return nums.view(Failing) if len(calls) == 2 else nums
+
+            monkeypatch.setattr(rn.product, "coordinate_numerators", second_fails)
+            with pytest.raises(RuntimeError, match="column lookup failed"):
+                product()
+            assert len(calls) == 2 and np.getbufsize() == 4096, name
+        assert inside == [512, 512]
+    finally:
+        np.setbufsize(old)
 
 
 def test_fast_rejects_schedule_marix_mismatch():
