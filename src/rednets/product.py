@@ -9,13 +9,12 @@ column-reduced net: coordinate j repeats its leading b^(m - w_j) values
 b^(w_j) times, so the running product is tiled vertically and updated with
 one rank-one term per coordinate, from the last unreduced coordinate down
 to the first.  Neither route calls BLAS, so no output depends on its thread
-count.  Both run their rank-one loops under a small ufunc buffer
-(``nets._small_ufunc_buffer``): numpy otherwise copies a broadcast update of
-a (tau, R) block through its buffer for R < 2731, 3-4x slower.  No output
-depends on the buffer size, since those loops are elementwise, with no cast
-and no reduction.  The products stay single-threaded; only the CSV writer
-may fork, on Linux, for outputs of at least 2^14 values, and its bytes do
-not depend on the workers.
+count.  Both run their rank-one loops under a small ufunc buffer (see
+``nets._small_ufunc_buffer`` for why, and why no output depends on it), and
+both raise ValueError at the first entry of X A that overflowed float64.
+The products stay single-threaded; only the CSV writer may fork, one child
+on Linux for outputs of at least 2^14 values, and its bytes do not depend
+on the child.
 """
 
 from __future__ import annotations
@@ -90,12 +89,12 @@ _P_LOW = 0.02425
 
 # Numerators per point-kernel call in the standard product (2 MiB of int64).
 _CHUNK_ENTRIES = 1 << 18
-# Fewest values per forked block of the product CSV writer.  On a 2-CPU
-# x86-64 Linux host a child costs 6-7 ms (file, fork, wait); writing 2^e
-# values in two blocks against one took, as a median of 31-41 alternating
-# writes at tau 1 and 20, 1.3-2.0x the time at e = 12, 0.95-1.51x at e = 13
-# and 0.78-0.85x at e = 14, so the writer forks from 2^14 values.
-_CSV_BLOCK_VALUES = 1 << 13
+# Fewest values for which the product CSV writer forks.  On a 2-CPU x86-64
+# Linux host a child costs 6-7 ms (file, fork, wait); writing 2^e values in
+# two blocks against one took, as a median of 31-41 alternating writes at
+# tau 1 and 20, 1.3-2.0x the time at e = 12, 0.95-1.51x at e = 13 and
+# 0.78-0.85x at e = 14, so the writer forks one child from 2^14 values.
+_CSV_FORK_VALUES = 1 << 14
 # Bytes per slice when a forked block's text is copied into the output.
 _COPY_BYTES = 1 << 16
 
@@ -195,6 +194,14 @@ def _check_a(a: np.ndarray, s: int) -> np.ndarray:
     return a
 
 
+def _check_product(p: np.ndarray) -> np.ndarray:
+    """p, or ValueError at its first entry that overflowed float64."""
+    if not np.isfinite(p).all():
+        i, j = np.argwhere(~np.isfinite(p))[0]
+        raise ValueError(f"X A is not finite at row {i + 1}, column {j + 1}: A overflows float64")
+    return p
+
+
 def _aligned_zeros(shape: tuple[int, int]) -> np.ndarray:
     """Zeroed float64 array whose data starts on a 64-byte boundary, so that
     the rank-one loop of ``standard_product`` (up to a third slower on an
@@ -228,12 +235,12 @@ def standard_product(
     k = max(1, _CHUNK_ENTRIES // n)
     for j0 in range(0, net.s, k):
         nums = coordinate_numerators(net.digits[j0 : j0 + k], b, m)
-        with _small_ufunc_buffer():
+        with _small_ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):
             for j in range(nums.shape[1]):
                 np.multiply(a[j0 + j, :, None], grid[nums[:, j]][None, :], out=tmp)
                 acc += tmp
         del nums  # so that the next chunk does not coexist with this one
-    return np.ascontiguousarray(acc.T)
+    return _check_product(np.ascontiguousarray(acc.T))
 
 
 def _validate_reduced(net: NetSpec, sched: ReductionSchedule) -> None:
@@ -276,7 +283,8 @@ def fast_reduced_product(
     # (tau, rows), as in standard_product: each rank-one term runs along rows
     p = np.zeros((tau, 1), dtype=np.float64)
     if s_star < net.s and phi0 != 0.0:
-        p += phi0 * a[s_star:].sum(axis=0)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            p += phi0 * a[s_star:].sum(axis=0)[:, None]
 
     hi = s_star
     while hi > 0:
@@ -288,11 +296,11 @@ def fast_reduced_product(
         # call; at most tau b^w of them, so the block is no larger than p
         lo = max(sched.w.index(wv), hi - max(tau, 1) * b**wv)
         nums = coordinate_numerators(net.digits[lo:hi], b, m - wv)
-        with _small_ufunc_buffer():
+        with _small_ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):
             for j in range(hi, lo, -1):
                 p += a[j - 1, :, None] * grid[nums[:, j - lo - 1]]
         hi = lo
-    return np.ascontiguousarray(p.T)
+    return _check_product(np.ascontiguousarray(p.T))
 
 
 @dataclass(frozen=True)
@@ -413,41 +421,32 @@ def write_product_csv(p: np.ndarray, fh: IO[str]) -> None:
     """CSV with header ``y1,...,ytau``; each value is ``repr`` of a Python
     float, the shortest string that reads back to the same float64.
 
-    ``repr`` is the whole cost, so on a host with k > 1 usable CPUs an output
-    of at least 2 * _CSV_BLOCK_VALUES values is cut into up to k contiguous
-    row blocks, and blocks 2.. are formatted by forked children into unlinked
-    temporary files while this process formats block 1; their text is then
-    copied here in slices, so neither side holds a block's text at once.  A
-    block whose child fails or whose text ends short is formatted here
-    instead, so the bytes never depend on the workers.
+    ``repr`` is the whole cost, so on a host with at least 2 usable CPUs an
+    output of at least _CSV_FORK_VALUES values is cut in two row blocks: one
+    forked child formats the second into an unlinked temporary file while
+    this process formats the first, and the child's text is then copied here
+    in slices, so neither side holds a block's text at once.  If the child
+    fails or its text ends short, this process formats that block instead,
+    so the bytes never depend on the child.
     """
     fh.write(",".join(f"y{j + 1}" for j in range(p.shape[1])) + "\n")
     p = np.asarray(p, dtype=np.float64)
-    affinity = getattr(os, "sched_getaffinity", None)
-    k = max(1, min(len(affinity(0)) if affinity else 1, p.size // _CSV_BLOCK_VALUES))
-    bounds = [i * p.shape[0] // k for i in range(k + 1)]
-    workers: list[list] = []  # [pid, file, block]; pid None once reaped
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    split = len(p) // 2 if cpus > 1 and p.size >= _CSV_FORK_VALUES else len(p)
+    pid, tmp = _fork_csv_rows(p[split:]) if split < len(p) else (None, None)
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            workers.append([*_fork_csv_rows(p[lo:hi]), p[lo:hi]])
-        _write_csv_rows(p[: bounds[1]], fh)
-        for worker in workers:
-            pid, tmp, block = worker
-            if pid is not None:
-                status = os.waitpid(pid, 0)[1]
-                worker[0] = None
-                exited = os.waitstatus_to_exitcode(status) == 0
-                if exited and sum(chunk.count(b"\n") for chunk in _slices(tmp)) == len(block):
-                    for chunk in _slices(tmp):
-                        fh.write(chunk.decode("ascii"))
-                    continue
-            _write_csv_rows(block, fh)
+        try:
+            _write_csv_rows(p[:split], fh)
+        finally:  # reap the child even when this process raised
+            exited = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        if exited and sum(chunk.count(b"\n") for chunk in _slices(tmp)) == len(p) - split:
+            for chunk in _slices(tmp):
+                fh.write(chunk.decode("ascii"))
+        else:
+            _write_csv_rows(p[split:], fh)
     finally:
-        for pid, tmp, _ in workers:
-            if pid is not None:  # only when this process raised
-                os.waitpid(pid, 0)
-            if tmp is not None:
-                tmp.close()
+        if tmp is not None:
+            tmp.close()
 
 
 def write_product_bin(p: np.ndarray, fh: IO[bytes]) -> None:

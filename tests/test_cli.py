@@ -310,6 +310,32 @@ def test_text_table_diagnostics_quote_the_whole_bad_cell(
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("fmt", [(), ("--bin",)], ids=["csv", "bin"])
+@pytest.mark.parametrize("a_text,argv,row", [
+    pytest.param("1e308,1\n1e308,-1\n0,0\n", ("--algo", "fast", "--w", "explicit:0,1,4"), 16,
+                 id="fast"),
+    pytest.param("1e308,1\n1e308,-1\n0,0\n", ("--algo", "standard"), 16, id="standard"),
+    pytest.param("1e308\n-1e308\n0\n", ("--algo", "standard", "--transform", "norminv"), 1,
+                 id="standard-norminv"),
+    # the constant phi(0) a_3 of the fully reduced coordinate overflows
+    pytest.param("0\n0\n1e308\n", ("--algo", "fast", "--w", "explicit:0,1,4",
+                                     "--transform", "norminv"), 1, id="fast-norminv-reduced"),
+])
+def test_overflowing_product_exits_2_with_one_line(tmp_path, capsys, fmt, a_text, argv, row):
+    """A finite A whose X A overflows float64 is an error, not inf or nan
+    rows; pytest turns numpy's RuntimeWarning into an error here."""
+    net, red, a, out = (tmp_path / f for f in ("net.txt", "red.txt", "a.csv", "p.out"))
+    run(capsys, "gen", "--b", "2", "--m", "4", "--s", "3", "--source", "pascal", "--out", str(net))
+    run(capsys, "reduce", "--net", str(net), "--w", "explicit:0,1,4", "--out", str(red))
+    a.write_text(a_text)
+    code, stdout, err = run(capsys, "product", "--net", str(red), "--a", str(a), *argv, *fmt)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: X A is not finite at row {row}, column 1: A overflows float64\n"
+    code, _, err = run(capsys, "product", "--net", str(red), "--a", str(a), *argv, *fmt,
+                       "--out", str(out))
+    assert (code, err.count("\n"), out.exists()) == (2, 1, False)
+
+
 def test_disc_bound_counts_projections_before_checking_them(tmp_path):
     # s* = 255 and cap 4 give 174825280 subsets: checking them would not finish
     net = tmp_path / "net.txt"

@@ -674,7 +674,7 @@ def test_product_csv_is_repr_of_each_float():
         assert buf.getvalue() == "\n".join([head] + rows) + "\n"
 
 
-# 2051 x 32 values: up to 8 blocks of 2^13 values, and rows that do not split evenly
+# 2051 x 32 values: four times the fork threshold, and rows that do not split evenly
 FORKED = np.random.default_rng(3).standard_normal((2051, 32)) * 10.0 ** np.arange(-16, 16)
 FORKED_CSV = "\n".join(
     [",".join(f"y{j + 1}" for j in range(32))]
@@ -719,7 +719,7 @@ def deadline():
     signal.signal(signal.SIGALRM, old)
 
 
-@pytest.mark.parametrize("cpus", [{0}, "default", set(range(16)), "missing"])
+@pytest.mark.parametrize("cpus", [{0}, "default", {0, 1}, set(range(4)), set(range(16)), "missing"])
 def test_product_csv_bytes_do_not_depend_on_the_workers(tmp_path, monkeypatch, cpus):
     if cpus == "missing":
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -728,20 +728,22 @@ def test_product_csv_bytes_do_not_depend_on_the_workers(tmp_path, monkeypatch, c
     affinity = getattr(os, "sched_getaffinity", None)
     started = count_forks(monkeypatch)
     assert write_forked(tmp_path) == FORKED_CSV
-    blocks = FORKED.size // rednets.product._CSV_BLOCK_VALUES
-    assert len(started) == (min(len(affinity(0)), blocks) - 1 if affinity else 0)
+    assert len(started) == (1 if affinity and len(affinity(0)) > 1 else 0)
     assert_no_children()
 
 
-def test_product_csv_small_outputs_fork_nothing(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+@pytest.mark.parametrize("cpus, short, forks", [(set(range(16)), 1, 0), ({0, 1}, 1, 0), ({0, 1}, 0, 1)])
+def test_product_csv_forks_from_2_14_values(monkeypatch, deadline, cpus, short, forks):
+    """Exactly 2^14 values fork once; one row short of that forks nothing."""
+    rows = rednets.product._CSV_FORK_VALUES // 32 - short
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     started = count_forks(monkeypatch)
-    p = FORKED[: 2 * rednets.product._CSV_BLOCK_VALUES // 32 - 1]  # one row short of two blocks
     buf = io.StringIO()
-    write_product_csv(p, buf)
+    write_product_csv(FORKED[:rows], buf)
     assert buf.getvalue() == FORKED_CSV[: len(buf.getvalue())]
-    assert buf.getvalue().count("\n") == len(p) + 1
-    assert started == []
+    assert buf.getvalue().count("\n") == rows + 1
+    assert len(started) == forks
+    assert_no_children()
 
 
 @pytest.mark.parametrize("failure", ["exit", "short", "fork", "file"])
@@ -769,7 +771,7 @@ def test_product_csv_failed_workers_give_the_same_bytes(tmp_path, monkeypatch, d
     if failure == "file":
         monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
     assert write_forked(tmp_path) == FORKED_CSV
-    assert len(started) == (0 if failure in ("fork", "file") else 3)
+    assert len(started) == (0 if failure in ("fork", "file") else 1)
     assert_no_children()
 
 
@@ -789,7 +791,7 @@ def test_product_csv_keeps_every_worker_when_fork_warns(tmp_path, monkeypatch, d
     monkeypatch.setattr(os, "fork", warning_fork)
     started = count_forks(monkeypatch)
     assert write_forked(tmp_path) == FORKED_CSV
-    assert len(started) == 3
+    assert len(started) == 1
     assert_no_children()
 
 
@@ -835,7 +837,7 @@ def test_product_csv_reaps_every_worker_when_the_file_write_fails(monkeypatch, d
 
     with pytest.raises(OSError, match="No space left"):
         write_product_csv(FORKED, Full())
-    assert len(started) == 3
+    assert len(started) == 1
     assert_no_children()
 
 
