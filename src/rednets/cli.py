@@ -51,11 +51,13 @@ BENCH_CSV_FIELDS = (
 )
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def _budget() -> int:
+    from .quality import DEFAULT_BUDGET  # not at module level: product needs no quality
+
+    raw = os.environ.get("REDNETS_ENUM_BUDGET")
     if raw and not raw.strip().isdecimal():
-        raise ValueError(f"{name} must be a nonnegative integer, got {raw!r}")
-    return int(raw) if raw else default
+        raise ValueError(f"REDNETS_ENUM_BUDGET must be a nonnegative integer, got {raw!r}")
+    return int(raw) if raw else DEFAULT_BUDGET
 
 
 @contextmanager
@@ -130,45 +132,44 @@ def _cmd_points(args: argparse.Namespace) -> int:
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:
-    from .quality import DEFAULT_BUDGET, rho
+    from .quality import rho
 
     net = _load_net(args.net)
     u = parse_subset(args.u)
-    value = rho(net, u, budget=_env_int("REDNETS_ENUM_BUDGET", DEFAULT_BUDGET))
+    value = rho(net, u, budget=_budget())
     print(f"rho = {value}")
     return 0
 
 
 def _cmd_tvalue(args: argparse.Namespace) -> int:
-    from .quality import DEFAULT_BUDGET, strict_t
+    from .quality import strict_t
 
     net = _load_net(args.net)
     u = parse_subset(args.u)
-    budget = _env_int("REDNETS_ENUM_BUDGET", DEFAULT_BUDGET)
+    budget = _budget()
     t = strict_t(generate_points(net), u, budget=budget)
     print(f"t = {t}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .quality import DEFAULT_BUDGET, analyze
+    from .quality import analyze
 
     net = _load_net(args.net)
     sched = parse_schedule(args.w, net.s, net.base, net.m)
-    budget = _env_int("REDNETS_ENUM_BUDGET", DEFAULT_BUDGET)
-    report = analyze(net, sched, proj_cap=args.proj_cap, budget=budget)
+    report = analyze(net, sched, proj_cap=args.proj_cap, budget=_budget())
     print(report.to_json())
     return 0
 
 
 def _cmd_disc_bound(args: argparse.Namespace) -> int:
     from .discrepancy import WeightModel, global_disc_bound
-    from .quality import DEFAULT_BUDGET, _projection_t
+    from .quality import _projection_t
 
     net = _load_net(args.net)
     sched = parse_schedule(args.w, net.s, net.base, net.m)
     weights = WeightModel.parse(args.weights)
-    budget = _env_int("REDNETS_ENUM_BUDGET", DEFAULT_BUDGET)
+    budget = _budget()
     _check_block(net.base, net.m, net.m, net.s)
     t_map = _projection_t(net, sched.s_star(net.m), args.proj_cap, budget)
     bound = global_disc_bound(
@@ -196,12 +197,9 @@ def _cmd_product(args: argparse.Namespace) -> int:
         p = fast_reduced_product(net, sched, a, transform)
     else:
         p = standard_product(net, a, transform)
-    if args.bin:
-        with _out_stream(args.out, binary=True) as fh:
-            write_product_bin(p, fh)
-    else:
-        with _out_stream(args.out) as fh:
-            write_product_csv(p, fh)
+    write = write_product_bin if args.bin else write_product_csv
+    with _out_stream(args.out, binary=args.bin) as fh:
+        write(p, fh)
     return 0
 
 
@@ -216,36 +214,28 @@ def _bench_config(
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((s, tau))
     ops = op_count_model(m, sched, tau, s, base=b)
-    transform = Transform.identity()
-    s_star = sched.s_star(m)
+    # algo -> (product call, predicted ops), timed in this order in each rep
+    products = {
+        "fast_column": (lambda: fast_reduced_product(reduced, sched, a), ops.fast),
+        "standard": (lambda: standard_product(reduced, a), ops.standard + ops.point_gen),
+    }
 
-    # Warm-up pass, discarded.
-    fast_reduced_product(reduced, sched, a, transform)
-    standard_product(reduced, a, transform)
+    for product, _ in products.values():  # warm-up pass, discarded
+        product()
 
     rows = []
     for rep in range(reps):
-        t0 = time.perf_counter_ns()
-        fast_reduced_product(reduced, sched, a, transform)
-        fast_ns = time.perf_counter_ns() - t0
+        for algo, (product, predicted_ops) in products.items():
+            t0 = time.perf_counter_ns()
+            product()
+            wall_ns = time.perf_counter_ns() - t0
+            rows.append(dict(
+                algo=algo, b=b, m=m, s=s, s_star=sched.s_star(m), tau=tau,
+                w_scheme=scheme, seed=seed, workers=1, rep=rep, wall_ns=wall_ns,
+                point_gen_ns="", mult_ns="", predicted_ops=predicted_ops,
+            ))
 
-        t0 = time.perf_counter_ns()
-        standard_product(reduced, a, transform)
-        std_ns = time.perf_counter_ns() - t0
-
-        common = dict(
-            b=b, m=m, s=s, s_star=s_star, tau=tau, w_scheme=scheme,
-            seed=seed, workers=1, rep=rep, point_gen_ns="", mult_ns="",
-        )
-        rows.append(
-            dict(common, algo="fast_column", wall_ns=fast_ns, predicted_ops=ops.fast)
-        )
-        rows.append(
-            dict(common, algo="standard", wall_ns=std_ns,
-                 predicted_ops=ops.standard + ops.point_gen)
-        )
-
-    for algo in ("fast_column", "standard"):
+    for algo in products:
         group = [r for r in rows if r["algo"] == algo]
         wall_ns = int(statistics.median(r["wall_ns"] for r in group))
         rows.append(dict(group[0], rep="median", wall_ns=wall_ns))
@@ -259,17 +249,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"--tau must be >= 1, got {args.tau}")
     m_list = [int(x) for x in args.m_list.split(",")]
     s_list = [int(x) for x in args.s_list.split(",")]
-    for m in m_list:
-        for s in s_list:
-            _check_entries(args.b**m * s, "point block")
+    configs = [(m, s) for m in m_list for s in s_list]
+    for m, s in configs:
+        _check_entries(args.b**m * s, "point block")
     rows = []
-    for m in m_list:
-        for s in s_list:
-            rows.extend(
-                _bench_config(
-                    args.b, m, s, args.tau, args.w_scheme, args.seed, args.reps
-                )
-            )
+    for m, s in configs:
+        rows += _bench_config(args.b, m, s, args.tau, args.w_scheme, args.seed, args.reps)
     fields = BENCH_CSV_FIELDS.split(",")
     with _out_stream(args.out) as fh:
         fh.write(BENCH_CSV_FIELDS + "\n")
@@ -360,12 +345,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except EnumerationBudgetError as exc:
+    except (EnumerationBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, EnumerationBudgetError) else 2
 
 
 if __name__ == "__main__":

@@ -12,9 +12,8 @@ denominator b^m so that net properties can be verified without rounding.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -23,6 +22,17 @@ from .gfmat import _check_base
 # Largest point or product block, in entries, that any routine allocates
 # (2 GiB of int64); larger requests fail with a ValueError up front.
 _MAX_ENTRIES = 1 << 28
+# Ufunc buffer size, in elements, that the rank-one loops (the base-2 kernel's
+# doubling, both products' updates) set first in their ``np.errstate`` block,
+# whose exit restores the caller's size (numpy >= 2.0).  numpy 2.4 copies a
+# broadcast binary ufunc into a C-contiguous 2-d block through its buffer
+# (8192 elements by default) whenever the rows are shorter than a third of
+# it and there are at least 3 of them: a rank-one update ``a[:, None] * x``
+# of a (tau, R) block ran 3-4x slower for R < 2731 (1024, 512 and 256
+# elements measured alike).  No result depends on the size: the loops run
+# under it are elementwise, with no cast and no reduction.  The generic-base
+# digit kernel measured slower under it, so it runs outside these blocks.
+_RANK_ONE_BUFSIZE = 512
 
 __all__ = [
     "NetSpec",
@@ -217,6 +227,16 @@ def _uniform_digits(seed: int, count: int, base: int, limit: int) -> np.ndarray:
     return np.concatenate(parts) % np.uint64(base)
 
 
+def _check_net_args(base: int, m: int, s: int) -> None:
+    """The constructions' argument checks: m, s, the base, then the size."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    _check_base(base)
+    _check_entries(s * m * m, "net")
+
+
 def pascal_net(base: int, m: int, s: int) -> NetSpec:
     """Net generated by powers of the upper-triangular binomial matrix P.
 
@@ -226,12 +246,7 @@ def pascal_net(base: int, m: int, s: int) -> NetSpec:
     the entries are filled in exact integers without matrix products.  The
     quality claim t = 0 is only attached for base 2 with s <= 2.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    _check_base(base)
-    _check_entries(s * m * m, "net")
+    _check_net_args(base, m, s)
     digits = [
         [[math.comb(r, i) * pow(k, r - i, base) % base if r >= i else 0
           for r in range(m)] for i in range(m)]
@@ -247,12 +262,7 @@ def random_net(base: int, m: int, s: int, seed: int) -> NetSpec:
     Entries come from a SplitMix64 stream reduced by rejection sampling, so
     the same (base, m, s, seed) reproduces the same net anywhere.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    _check_base(base)
-    _check_entries(s * m * m, "net")
+    _check_net_args(base, m, s)
     digits = _uniform_digits(seed, s * m * m, base, (1 << 64) - (1 << 64) % base)
     return NetSpec(base, m, digits.reshape(s, m, m), provenance=f"random(seed={seed})")
 
@@ -361,26 +371,6 @@ def coordinate_numerators(digits: np.ndarray, base: int, n_digits: int) -> np.nd
     return _numerators_digits(c, base, n_digits)
 
 
-@contextmanager
-def _small_ufunc_buffer() -> Iterator[None]:
-    """Run the block under a ufunc buffer of 512 elements.
-
-    numpy 2.4 copies a broadcast binary ufunc into a C-contiguous 2-d block
-    through its buffer (8192 elements by default) whenever the rows are
-    shorter than a third of it and there are at least 3 of them: a rank-one
-    update ``a[:, None] * x`` of a (tau, R) block ran 3-4x slower for
-    R < 2731 (1024, 512 and 256 elements measured alike).  No result depends
-    on the size: the loops run under it are elementwise, with no cast and no
-    reduction.  The old size is restored by hand, since ``np.errstate`` does
-    not restore it before numpy 2.0.
-    """
-    old = np.setbufsize(512)
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
-
-
 def _numerators_xor(c: np.ndarray, n_digits: int) -> np.ndarray:
     """Base-2 kernel on a (k, m, m) digit array.
 
@@ -392,7 +382,8 @@ def _numerators_xor(c: np.ndarray, n_digits: int) -> np.ndarray:
     cols = np.einsum("kri,r->ik", c, weights)
     out = np.zeros((k, 1 << n_digits), dtype=np.int64)
     n = 1
-    with _small_ufunc_buffer():
+    with np.errstate():
+        np.setbufsize(_RANK_ONE_BUFSIZE)
         for i in range(n_digits):
             np.bitwise_xor(out[:, :n], cols[i][:, None], out=out[:, n : 2 * n])
             n *= 2

@@ -10,7 +10,7 @@ b^(w_j) times, so the running product is tiled vertically and updated with
 one rank-one term per coordinate, from the last unreduced coordinate down
 to the first.  Neither route calls BLAS, so no output depends on its thread
 count.  Both run their rank-one loops under a small ufunc buffer (see
-``nets._small_ufunc_buffer`` for why, and why no output depends on it), and
+``nets._RANK_ONE_BUFSIZE`` for why, and why no output depends on it), and
 both raise ValueError at the first entry of X A that overflowed float64.
 The products stay single-threaded; only the CSV writer may fork, one child
 on Linux for outputs of at least 2^14 values, and its bytes do not depend
@@ -31,11 +31,11 @@ import numpy as np
 from .nets import (
     NetSpec,
     ReductionSchedule,
+    _RANK_ONE_BUFSIZE,
     _check_block,
     _check_entries,
     _kept_columns,
     _loadtxt,
-    _small_ufunc_buffer,
     coordinate_numerators,
 )
 
@@ -235,7 +235,8 @@ def standard_product(
     k = max(1, _CHUNK_ENTRIES // n)
     for j0 in range(0, net.s, k):
         nums = coordinate_numerators(net.digits[j0 : j0 + k], b, m)
-        with _small_ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.setbufsize(_RANK_ONE_BUFSIZE)
             for j in range(nums.shape[1]):
                 np.multiply(a[j0 + j, :, None], grid[nums[:, j]][None, :], out=tmp)
                 acc += tmp
@@ -296,7 +297,8 @@ def fast_reduced_product(
         # call; at most tau b^w of them, so the block is no larger than p
         lo = max(sched.w.index(wv), hi - max(tau, 1) * b**wv)
         nums = coordinate_numerators(net.digits[lo:hi], b, m - wv)
-        with _small_ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.setbufsize(_RANK_ONE_BUFSIZE)
             for j in range(hi, lo, -1):
                 p += a[j - 1, :, None] * grid[nums[:, j - lo - 1]]
         hi = lo

@@ -152,12 +152,14 @@ def test_every_command_leaves_the_ufunc_buffer_size_as_it_was(tmp_path, capsys):
         ["bench", "--b", "2", "--m-list", "6,7", "--tau", "3", "--s-list", "20",
          "--w-scheme", "log", "--reps", "3", "--out", str(tmp_path / "bench.csv")],
     ]
-    old = np.setbufsize(4096)
+    old_size, old_err = np.setbufsize(4096), np.seterr(over="raise")
+    caller = (np.getbufsize(), np.geterr())
     try:
-        seen = [(run(capsys, *argv)[0], np.getbufsize()) for argv in commands]
+        seen = [(run(capsys, *argv)[0], (np.getbufsize(), np.geterr())) for argv in commands]
     finally:
-        np.setbufsize(old)
-    assert seen == [(0, 4096)] * 9 + [(2, 4096), (0, 4096)]
+        np.setbufsize(old_size)
+        np.seterr(**old_err)
+    assert seen == [(0, caller)] * 9 + [(2, caller), (0, caller)]
 
 
 def test_report_command(tmp_path, capsys):
@@ -403,18 +405,23 @@ def test_bench_csv_schema_and_predictions(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == BENCH_CSV_FIELDS
     rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
-    # 2 configs x 2 algos x (3 reps + 1 median)
-    assert len(rows) == 2 * 2 * 4
-    for r in rows:
-        s = int(r["s"])
-        m = int(r["m"])
-        sched = parse_schedule("log", s, 2, m)
-        ops = rn.op_count_model(m, sched, int(r["tau"]), s)
-        want = ops.fast if r["algo"] == "fast_column" else ops.standard + ops.point_gen
-        assert int(r["predicted_ops"]) == want
-        assert int(r["wall_ns"]) > 0
-        # both products generate their own points, so no row splits its time
-        assert r["point_gen_ns"] == "" and r["mult_ns"] == ""
+    # per config: fast_column then standard for each rep, then both medians;
+    # every column but wall_ns is pinned
+    want = []
+    for s in (4, 8):
+        sched = parse_schedule("log", s, 2, 6)
+        ops = rn.op_count_model(6, sched, 3, s)
+        for rep in ("0", "1", "2", "median"):
+            for algo, predicted in (("fast_column", ops.fast),
+                                    ("standard", ops.standard + ops.point_gen)):
+                # both products generate their own points, so no row splits its time
+                want.append(dict(
+                    algo=algo, b="2", m="6", s=str(s), s_star=str(sched.s_star(6)),
+                    tau="3", w_scheme="log", seed="5", workers="1", rep=rep,
+                    point_gen_ns="", mult_ns="", predicted_ops=str(predicted),
+                ))
+    assert [{k: v for k, v in r.items() if k != "wall_ns"} for r in rows] == want
+    assert all(int(r["wall_ns"]) > 0 for r in rows)
     medians = [r for r in rows if r["rep"] == "median"]
     assert len(medians) == 4
     for med in medians:

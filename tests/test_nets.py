@@ -202,24 +202,29 @@ def test_pascal_net_file_bytes_are_pinned(args, digest):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
-def test_pascal_net_rejects_bad_m():
-    with pytest.raises(ValueError):
-        rn.pascal_net(2, 0, 2)
-
-
-@pytest.mark.parametrize("base", [0, 1, 4])
-def test_pascal_net_rejects_bad_base(base):
-    with pytest.raises(ValueError, match="base must be a prime"):
-        rn.pascal_net(base, 2, 3)
+@pytest.mark.parametrize("construct", [
+    rn.pascal_net,
+    lambda base, m, s: rn.random_net(base, m, s, seed=0),
+], ids=["pascal", "random"])
+@pytest.mark.parametrize("args, message", [
+    ((2, 0, 2), "m must be >= 1"),
+    ((2, 2, 0), "s must be >= 1"),
+    *[((base, 2, 3), f"base must be a prime below 2\\^63, got {base}") for base in (0, 1, 4)],
+    ((2, 4, 7), "net of 112 entries exceeds the limit of 100"),
+    # two bad arguments: m, then s, then the base, then the size (an m
+    # or s of 0 makes the size 0, so only the base can precede it)
+    ((2, 0, 0), "m must be >= 1"),
+    ((4, 0, 2), "m must be >= 1"),
+    ((4, 2, 0), "s must be >= 1"),
+    ((4, 4, 7), "base must be a prime below 2\\^63, got 4"),
+])
+def test_constructions_reject_bad_arguments(construct, args, message, monkeypatch):
+    monkeypatch.setattr(rn.nets, "_MAX_ENTRIES", 100)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        construct(*args)
 
 
 # --- random_net ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("base", [0, 1, 4])
-def test_random_net_rejects_bad_base(base):
-    with pytest.raises(ValueError, match=f"^base must be a prime below 2\\^63, got {base}$"):
-        rn.random_net(base, 2, 3, seed=0)
 
 
 def test_random_net_deterministic():

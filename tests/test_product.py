@@ -381,19 +381,22 @@ def test_products_restore_the_ufunc_buffer_size(monkeypatch):
         "standard": lambda: rn.standard_product(net, a),
         "fast": lambda: rn.fast_reduced_product(net, sched, a),
     }
-    old = np.setbufsize(4096)
+    old_size, old_err = np.setbufsize(4096), np.seterr(over="raise")
+    # the caller's numpy state: a buffer size and an error policy, both
+    # set away from numpy's defaults and from the loops' own
+    caller = (4096, np.geterr())
     try:
         for name, product in products.items():
             product()
-            assert np.getbufsize() == 4096, name
+            assert (np.getbufsize(), np.geterr()) == caller, name
         rn.nets.coordinate_numerators(rn.random_net(2, 12, 64, seed=1).digits, 2, 12)
-        assert np.getbufsize() == 4096
+        assert (np.getbufsize(), np.geterr()) == caller
 
         kernel, inside = rn.product.coordinate_numerators, []
 
         class Failing(np.ndarray):
             def __getitem__(self, key):
-                inside.append(np.getbufsize())
+                inside.append((np.getbufsize(), np.geterr()["over"]))
                 raise RuntimeError("column lookup failed")
 
         for name, product in products.items():
@@ -407,10 +410,12 @@ def test_products_restore_the_ufunc_buffer_size(monkeypatch):
             monkeypatch.setattr(rn.product, "coordinate_numerators", second_fails)
             with pytest.raises(RuntimeError, match="column lookup failed"):
                 product()
-            assert len(calls) == 2 and np.getbufsize() == 4096, name
-        assert inside == [512, 512]
+            assert len(calls) == 2, name
+            assert (np.getbufsize(), np.geterr()) == caller, name
+        assert inside == [(512, "ignore")] * 2
     finally:
-        np.setbufsize(old)
+        np.setbufsize(old_size)
+        np.seterr(**old_err)
 
 
 def test_fast_rejects_schedule_marix_mismatch():
