@@ -11,6 +11,7 @@ denominator b^m so that net properties can be verified without rounding.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from typing import IO, Sequence
@@ -464,8 +465,9 @@ def write_net(net: NetSpec, fh: IO[str]) -> None:
 
 
 def _loadtxt(lines: list[str], what: str, **kw) -> np.ndarray:
-    """The one text-table parser of net and matrix files: a 2-d array, or
-    a one-line ValueError naming the file kind and the first bad cell."""
+    """The line parser of matrix files and of net files outside write_net's
+    layout: a 2-d array, or a one-line ValueError naming the file kind and
+    the first bad cell."""
     try:
         return np.loadtxt(lines, ndmin=2, comments=None, **kw)
     except ValueError as exc:
@@ -473,16 +475,35 @@ def _loadtxt(lines: list[str], what: str, **kw) -> np.ndarray:
 
 
 def read_net(fh: IO[str]) -> NetSpec:
-    """Parse the :func:`write_net` format; blank lines are ignored."""
-    head = next((ln.split() for ln in fh if ln.strip()), None)
-    if head is None:
+    """Parse the :func:`write_net` format; blank lines are ignored.
+
+    Files in exactly write_net's layout with b <= 10 are read as one byte
+    block, any other layout line by line, with the same results and messages.
+    """
+    text = fh.read()
+    head, end = [], 0
+    while not head and end < len(text):  # lines end at "\n" only, as in fh
+        start, end = end, text.find("\n", end) + 1 or len(text)
+        head = text[start:end].split()
+    if not head:
         raise ValueError("empty net file")
     if len(head) != 3:
         raise ValueError("header must be 'b m s'")
     base, m, s = (int(x) for x in head)
     if m < 1 or s < 1:
         raise ValueError("header needs m >= 1 and s >= 1")
-    lines = [ln for ln in fh if ln.strip()]
+    # write_net's layout: the header, then s*m lines "d d ... d\n" (lengths
+    # compared as ints, so a huge header allocates nothing).  Read as uint16
+    # (digit, separator) pairs, a line minus "0 0 ... 0\n" is its digits if
+    # each separator matches and each digit is "0".."9", else 10 or more.
+    if 2 <= base <= 10 and text.startswith(f"{base} {m} {s}\n") and text.isascii() and (
+        len(text) == end + s * m * 2 * m
+    ):
+        pairs = np.frombuffer(text[end:].encode("ascii"), "<u2").reshape(-1, m)
+        digits = pairs - np.frombuffer(("0 " * m)[:-1].encode("ascii") + b"\n", "<u2")
+        if (digits < base).all():
+            return NetSpec(base, m, digits.reshape(s, m, m), provenance="file")
+    lines = [ln for ln in io.StringIO(text[end:]) if ln.strip()]
     if len(lines) != s * m:
         raise ValueError(f"expected {1 + s * m} lines, found {1 + len(lines)}")
     digits = _loadtxt(lines, "net file body", dtype=np.int64)

@@ -391,8 +391,12 @@ def _fork_csv_rows(block: np.ndarray) -> tuple[int | None, IO[bytes] | None]:
     try:
         tmp = tempfile.TemporaryFile()
         with warnings.catch_warnings():
-            # Python >= 3.12 warns here when other threads exist (OpenBLAS's
-            # pool); as an error it would lose the child's pid.  The child is
+            # Python >= 3.12 warns here when the parent has other threads
+            # right after fork(); as an error it would lose the child's pid.
+            # OpenBLAS's pool is not one: on a 2-CPU x86-64 Linux host with
+            # numpy 2.4 a process had 2 OS threads after ``import numpy``
+            # and 1 in the parent right after fork(), when 3.12 counts them.
+            # A library caller may run threads of its own.  The child is
             # safe: it runs no BLAS and takes no lock, only tolist, repr and
             # writes, and it leaves by os._exit, so it runs no exit handler
             # and flushes no buffer it inherited (the parent's fh included).

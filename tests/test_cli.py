@@ -193,29 +193,48 @@ def test_exit_code_2_on_validation_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "\n \n",
-    "2 2\n1 0\n0 1\n",
-    "2 2 1\n1 0\n",
-    "2 2 1\n1 0\n0 1\n1 1\n",
-    "2 2 1\n1 0 1\n0 1\n",
-    "2 2 1\n1 0 1\n0 1 0\n",
-    "2 2 1\n1 0\n0 2\n",
-    "3 2 1\n1 0\n0 -1\n",
-    "2 2 1\n1 0\n0 1.0\n",
-    "2 2 1\n1 0\nx 1\n",
-    "2 2 1\n1 0\n# 1\n",
-    "2 x 1\n1 0\n0 1\n",
-    "4 2 1\n1 0\n0 1\n",
-    "2 0 1\n",
-    "2 2 0\n",
-    f"{2**89 - 1} 1 1\n0\n",
-])
+# Every malformed net file and its exact message.  The "1 2", "1,0", "\u0663"
+# and ":" bodies have the length of write_net's layout, so they meet
+# read_net's byte check before the line parser.
+NET_FILE_ERRORS = {
+    "": "empty net file",
+    "\n \n": "empty net file",
+    "2 2\n1 0\n0 1\n": "header must be 'b m s'",
+    "2 2 1\n1 0\n": "expected 3 lines, found 2",
+    "2 2 1\n1 0\n0 1\n1 1\n": "expected 3 lines, found 4",
+    "2 2 1\n1 0 1\n0 1\n":
+        "bad net file body: the number of columns changed from 3 to 2 at row 2",
+    "2 2 1\n1 0 1\n0 1 0\n": "row length 3 != m = 2",
+    "2 2 1\n1 0\n0 2\n": "digit 2 outside [0, 2)",
+    "3 2 1\n1 0\n0 -1\n": "digit -1 outside [0, 3)",
+    "2 2 1\n1 0\n0 1.0\n":
+        "bad net file body: could not convert string '1.0' to int64 at row 1, column 2.",
+    "2 2 1\n1 0\nx 1\n":
+        "bad net file body: could not convert string 'x' to int64 at row 1, column 1.",
+    "2 2 1\n1 0\n# 1\n":
+        "bad net file body: could not convert string '#' to int64 at row 1, column 1.",
+    "2 x 1\n1 0\n0 1\n": "invalid literal for int() with base 10: 'x'",
+    "4 2 1\n1 0\n0 1\n": "base must be a prime below 2^63, got 4",
+    "2 0 1\n": "header needs m >= 1 and s >= 1",
+    "2 2 0\n": "header needs m >= 1 and s >= 1",
+    f"{2**89 - 1} 1 1\n0\n": f"base must be a prime below 2^63, got {2**89 - 1}",
+    "2 2 1\n1 2\n0 1\n": "digit 2 outside [0, 2)",
+    "2 2 1\n1,0\n0 1\n":
+        "bad net file body: could not convert string '1,0' to int64 at row 0, column 1.",
+    "2 2 1\n1 \u0663\n0 1\n":  # ARABIC-INDIC DIGIT THREE
+        "bad net file body: could not convert string '\u0663' to int64 at row 0, column 2.",
+    "11 2 1\n1 :\n0 1\n":  # ":" follows "9" in ASCII
+        "bad net file body: could not convert string ':' to int64 at row 0, column 2.",
+    # s*m lines are counted before anything is allocated
+    "2 100000 100000\n0 1\n": "expected 10000000001 lines, found 2",
+}
+
+
+@pytest.mark.parametrize("text", list(NET_FILE_ERRORS))
 def test_malformed_net_file_is_a_one_line_error_with_exit_2(tmp_path, capsys, text):
     with pytest.raises(ValueError) as err:
         rn.read_net(io.StringIO(text))
-    assert str(err.value) and "\n" not in str(err.value)
+    assert str(err.value) == NET_FILE_ERRORS[text]
     net, a = tmp_path / "bad.txt", tmp_path / "a.csv"
     net.write_text(text)
     a.write_text("1\n1\n")

@@ -725,7 +725,8 @@ def test_coordinate_numerators_rejects_b_m_beyond_int64():
 
 
 @settings(max_examples=30)
-@given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.integers(1, 4), st.integers(0, 10**6))
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 12), st.integers(1, 4),
+       st.integers(0, 10**6))
 def test_net_file_round_trip(base, m, s, seed):
     net = rn.random_net(base, m, s, seed=seed)
     buf = io.StringIO()
@@ -741,14 +742,51 @@ def test_net_file_round_trip(base, m, s, seed):
 
 
 def test_read_net_rejects_malformed():
-    with pytest.raises(ValueError):
-        rn.read_net(io.StringIO(""))
-    with pytest.raises(ValueError):
-        rn.read_net(io.StringIO("2 2\n1 0\n0 1\n"))
-    with pytest.raises(ValueError):
-        rn.read_net(io.StringIO("2 2 1\n1 0\n"))
-    with pytest.raises(ValueError):
-        rn.read_net(io.StringIO("2 2 1\n1 0 1\n0 1 0\n"))
+    for text, message in [
+        ("", "empty net file"),
+        ("2 2\n1 0\n0 1\n", "header must be 'b m s'"),
+        ("2 2 1\n1 0\n", "expected 3 lines, found 2"),
+        ("2 2 1\n1 0 1\n0 1 0\n", "row length 3 != m = 2"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            rn.read_net(io.StringIO(text))
+        assert str(err.value) == message
+
+
+def _layouts(text):
+    """Valid net files in layouts other than write_net's, read as ``text``."""
+    header, body = text.split("\n", 1)
+    variants = [
+        "\n" + text,  # a leading blank line
+        header + "\n" + body.replace("\n", "\n\n"),  # blank lines between rows
+        text.replace("\n", "\r\n"),  # CRLF, kept by a StringIO
+        text[:-1] + " \n",  # a trailing space
+        header + "\n" + body.replace(" ", "\t"),  # tab separators
+        text[:-1],  # no final newline
+    ]
+    return [v for v in variants if v != text]  # at m = 1 no line has a space
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("m", [1, 2, 12])
+@pytest.mark.parametrize("source", ["random", "pascal"])
+def test_read_net_byte_path_and_line_parser_agree(base, m, source, monkeypatch):
+    net = rn.random_net(base, m, 3, seed=m) if source == "random" else rn.pascal_net(base, m, 3)
+    buf = io.StringIO()
+    rn.write_net(net, buf)
+    if base > 10 and m == 12:
+        assert " 10 " in buf.getvalue()  # an entry of two characters
+    expected = rn.NetSpec(base, m, net.digits, provenance="file")
+    parsed = []
+    loadtxt = rn.nets._loadtxt
+    monkeypatch.setattr(rn.nets, "_loadtxt", lambda *a, **kw: parsed.append(1) or loadtxt(*a, **kw))
+    assert rn.read_net(io.StringIO(buf.getvalue())) == expected
+    # write_net's layout is read as one byte block while every digit is one character
+    assert parsed == ([1] if base > 10 else [])
+    for text in _layouts(buf.getvalue()):
+        parsed.clear()
+        assert rn.read_net(io.StringIO(text)) == expected, repr(text[:40])
+        assert parsed == [1], repr(text[:40])
 
 
 def test_read_net_ignores_blank_lines():
