@@ -349,6 +349,8 @@ def global_disc_bound(
     the quality parameter of the *unreduced* net's projection, in [0, m];
     every reduced projection, single coordinates included, is bounded
     through ``theorem_bounds(t_u, m, sched, u).t_upper`` = min(m, w_max(u) + t_u).
+    A term that overflows float64 raises ValueError, naming the first of
+    outside, singles and higher that is not finite.
     """
     if sched.s != s:
         raise ValueError("schedule length does not match s")
@@ -360,10 +362,11 @@ def global_disc_bound(
 
     outside: float | None = None
     if s_star < s:
-        factors = g * (1.0 + np.power(float(base), np.array(sched.w, dtype=float)))
-        # The maximizing subset takes every factor > 1 and, if none of the
-        # fully reduced coordinates has one, the largest factor among them.
-        prod = float(np.prod(np.maximum(1.0, factors)))
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            factors = g * (1.0 + np.power(float(base), np.array(sched.w, dtype=float)))
+            # The maximizing subset takes every factor > 1 and, if none of the
+            # fully reduced coordinates has one, the largest factor among them.
+            prod = float(np.prod(np.maximum(1.0, factors)))
         tail = factors[s_star:]
         if not np.any(tail > 1.0):
             prod *= float(tail.max())
@@ -385,13 +388,11 @@ def global_disc_bound(
     }
     higher = max((term(u) * polys[len(u)] for u in subsets), default=None)
 
-    candidates = [v for v in (outside, singles, higher) if v is not None]
-    return GlobalBound(
-        outside=outside,
-        singles=singles,
-        higher=higher,
-        value=max(candidates),
-    )
+    terms = {"outside": outside, "singles": singles, "higher": higher}
+    for name, v in terms.items():
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"term_{name} is not finite ({v!r}): the weights overflow float64")
+    return GlobalBound(**terms, value=max(v for v in terms.values() if v is not None))
 
 
 def choose_reduction_indices(
@@ -408,23 +409,23 @@ def choose_reduction_indices(
     gamma_j = j^-2 and decay exponent tau in (1, 2),
     w_j = min(floor(log_b(j^(2 - tau))), m), which is s-independent.
     Negative logarithms clamp to 0 and w_1 is forced to 0.  Both floors are
-    exact: ``kappa`` compares b^k with the float argument, and ``zeta`` reads
-    tau as the fraction p/q of its decimal form (q <= 100) and compares
-    integer powers.
+    exact: ``kappa`` decides b^(k+1) <= ((kappa / gamma_1^j0)^(1/s) - 1) / gamma_j
+    as (gamma_j b^(k+1) + 1)^s gamma_1^j0 <= kappa in rationals, since every
+    float is a dyadic, and ``zeta`` reads tau as the fraction p/q of its
+    decimal form (q <= 100) and compares integer powers.
     """
     if scheme == "kappa":
         if weights.kappa is None:
             raise ValueError("kappa scheme needs weights.kappa")
         j0 = weights.j_zero(s)
-        head = weights.gamma(1) ** j0
-        if not weights.kappa > head:
+        if not weights.kappa > weights.gamma(1) ** j0:
             raise ValueError("kappa must exceed gamma_1^j0")
-        target = (weights.kappa / head) ** (1.0 / s) - 1.0
-        w = []
+        limit = Fraction(weights.kappa) / Fraction(weights.gamma(1)) ** j0
+        w, k = [], 0
         for j in range(1, s + 1):
-            arg = target / weights.gamma(j)
-            k = 0
-            while k < m and base ** (k + 1) <= arg:
+            # gamma_j never increases, so k never decreases: resume from j - 1
+            gamma = Fraction(weights.gamma(j))
+            while k < m and (gamma * base ** (k + 1) + 1) ** s <= limit:
                 k += 1
             w.append(k)
     elif scheme == "zeta":

@@ -1,20 +1,19 @@
 """Matrix products with digital-net point sets.
 
-The standard route accumulates X A = sum_j x_j a_j over the coordinates of
-the net in a fixed left-to-right order, streaming one transformed
-coordinate column at a time into a (tau, N) accumulator; the point kernel
-runs on a few coordinates at a time, so neither the numerator block nor
-the float block X ever exists.  The fast route never materializes X for a
-column-reduced net: coordinate j repeats its leading b^(m - w_j) values
-b^(w_j) times, so the running product is tiled vertically and updated with
-one rank-one term per coordinate, from the last unreduced coordinate down
-to the first.  Neither route calls BLAS, so no output depends on its thread
-count.  Both run their rank-one loops under a small ufunc buffer (see
-``nets._RANK_ONE_BUFSIZE`` for why, and why no output depends on it), and
-both raise ValueError at the first entry of X A that overflowed float64.
-The products stay single-threaded; only the CSV writer may fork, one child
-on Linux for outputs of at least 2^14 values, and its bytes do not depend
-on the child.
+Both products run one accumulation loop, which never materializes X.  In
+a column-reduced net coordinate j repeats its leading b^(m - w_j) values
+b^(w_j) times, so the running (tau, rows) product is tiled vertically
+between coordinates and updated with one rank-one term x_j a_j per
+coordinate, from the last unreduced one down to the first; the point
+kernel runs on a few coordinates at a time, so no numerator block of the
+whole net exists either.  The standard product is that loop with no
+reduction (nothing is tiled) on the coordinates in reverse order.  Neither
+product calls BLAS, so no output depends on its thread count.  The loop
+runs under a small ufunc buffer (see ``nets._RANK_ONE_BUFSIZE`` for why,
+and why no output depends on it) and raises ValueError at the first entry
+of X A that overflowed float64.  The products stay single-threaded; only
+the CSV writer may fork, one child on Linux for outputs of at least 2^14
+values, and its bytes do not depend on the child.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ _D = (
 )
 _P_LOW = 0.02425
 
-# Numerators per point-kernel call in the standard product (2 MiB of int64).
+# Numerators per point-kernel call in the rank-one loop (2 MiB of int64).
 _CHUNK_ENTRIES = 1 << 18
 # Fewest values for which the product CSV writer forks.  On a 2-CPU x86-64
 # Linux host a child costs 6-7 ms (file, fork, wait); writing 2^e values in
@@ -204,8 +203,8 @@ def _check_product(p: np.ndarray) -> np.ndarray:
 
 def _aligned_zeros(shape: tuple[int, int]) -> np.ndarray:
     """Zeroed float64 array whose data starts on a 64-byte boundary, so that
-    the rank-one loop of ``standard_product`` (up to a third slower on an
-    unaligned operand) does not depend on where the allocator puts it."""
+    the rank-one loop (up to a third slower on an unaligned operand) does
+    not depend on where the allocator puts its running block and scratch."""
     count = shape[0] * shape[1]
     buf = np.zeros(count + 8)
     start = (-buf.ctypes.data % 64) // 8
@@ -219,29 +218,16 @@ def standard_product(
 ) -> np.ndarray:
     """X A for all b^m points of the net, accumulated coordinate by coordinate.
 
-    The point kernel runs on chunks of coordinates of at most
-    _CHUNK_ENTRIES numerators; each column x_j is looked up in phi evaluated
-    once on the grid n / b^m, and its rank-one term a_j x_j is added to a
-    (tau, N) accumulator.  The order is fixed (0 + x_1 a_1 + ... + x_s a_s
-    per output entry), so the baseline is bit-reproducible.
+    The loop of ``fast_reduced_product`` with no reduction (every w_j = 0, so
+    nothing is tiled) on the coordinates in reverse: that loop adds the last
+    coordinate first, so every entry is 0 + x_1 a_1 + ... + x_s a_s in this
+    fixed order, bit for bit.  The reversed digits and rows of A are views.
     """
     b, m = net.base, net.m
     _check_block(b, m, m, net.s)
     a = _check_a(a, net.s)
-    n, tau = b**m, a.shape[1]
-    _check_entries(n * tau, "product block")
-    grid = transform.apply(np.arange(n) / float(n))
-    acc, tmp = _aligned_zeros((tau, n)), _aligned_zeros((tau, n))
-    k = max(1, _CHUNK_ENTRIES // n)
-    for j0 in range(0, net.s, k):
-        nums = coordinate_numerators(net.digits[j0 : j0 + k], b, m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.setbufsize(_RANK_ONE_BUFSIZE)
-            for j in range(nums.shape[1]):
-                np.multiply(a[j0 + j, :, None], grid[nums[:, j]][None, :], out=tmp)
-                acc += tmp
-        del nums  # so that the next chunk does not coexist with this one
-    return _check_product(np.ascontiguousarray(acc.T))
+    _check_entries(b**m * a.shape[1], "product block")
+    return _rank_one_sum(net.digits[::-1], (0,) * net.s, a[::-1], transform, b, m)
 
 
 def _validate_reduced(net: NetSpec, sched: ReductionSchedule) -> None:
@@ -268,39 +254,49 @@ def fast_reduced_product(
     of coordinate j.  Fully reduced coordinates are constant 0, so they
     contribute the constant row phi(0) * a_j once up front (zero for the
     identity transform).  Also generates the needed point columns on the fly,
-    one kernel call per run of equal w_j (split so that no call returns more
-    numerators than X A has entries), and looks their transformed values up
-    in phi evaluated once on the grid n / b^m.
+    one kernel call per run of equal w_j, split so that no call returns more
+    than _CHUNK_ENTRIES numerators (or takes one coordinate), and looks their
+    transformed values up in phi evaluated once on the grid n / b^m.
     """
     a = _check_a(a, net.s)
     _validate_reduced(net, sched)
-    b, m, tau = net.base, net.m, a.shape[1]
-    _check_entries(b**m * max(tau, 1), "product block")
-    s_star = sched.s_star(m)
+    _check_entries(net.base**net.m * max(a.shape[1], 1), "product block")
+    return _rank_one_sum(net.digits, sched.w, a, transform, net.base, net.m)
 
+
+def _rank_one_sum(
+    digits: np.ndarray, w: tuple[int, ...], a: np.ndarray, transform: Transform, base: int, m: int
+) -> np.ndarray:
+    """The one accumulation loop of both products (see fast_reduced_product)."""
+    tau, s_star = a.shape[1], sum(wj < m for wj in w)
     # phi(n / b^m) for every numerator n, so no level block is transformed
-    grid = transform.apply(np.arange(b**m) / float(b**m))
-    phi0 = float(grid[0])
-    # (tau, rows), as in standard_product: each rank-one term runs along rows
+    grid = transform.apply(np.arange(base**m) / float(base**m))
+    # (tau, rows): each rank-one term runs along a contiguous row
     p = np.zeros((tau, 1), dtype=np.float64)
-    if s_star < net.s and phi0 != 0.0:
+    if s_star < len(w) and grid[0] != 0.0:
         with np.errstate(over="ignore", invalid="ignore"):
-            p += phi0 * a[s_star:].sum(axis=0)[:, None]
+            p += grid[0] * a[s_star:].sum(axis=0)[:, None]
 
     hi = s_star
     while hi > 0:
-        wv = sched.w[hi - 1]
-        w_next = m if hi == s_star else min(sched.w[hi], m)
+        wv = w[hi - 1]
+        w_next = m if hi == s_star else min(w[hi], m)
         if w_next > wv:
-            p = np.tile(p, (1, b ** (w_next - wv)))
-        # coordinates lo+1..hi share w, hence one index range and one kernel
-        # call; at most tau b^w of them, so the block is no larger than p
-        lo = max(sched.w.index(wv), hi - max(tau, 1) * b**wv)
-        nums = coordinate_numerators(net.digits[lo:hi], b, m - wv)
+            rows, copies = p.shape[1], base ** (w_next - wv)
+            tiled = _aligned_zeros((tau, copies * rows))
+            tiled.reshape(tau, copies, rows)[...] = p[:, None, :]
+            # each rank-one term goes to an aligned scratch, not a temporary
+            p, term = tiled, _aligned_zeros(tiled.shape)
+        # coordinates lo+1..hi share w, hence one index range; a kernel call
+        # takes at most _CHUNK_ENTRIES numerators of them, or one coordinate
+        lo = max(w.index(wv), hi - max(1, _CHUNK_ENTRIES // base ** (m - wv)))
+        nums = coordinate_numerators(digits[lo:hi], base, m - wv)
         with np.errstate(over="ignore", invalid="ignore"):
             np.setbufsize(_RANK_ONE_BUFSIZE)
             for j in range(hi, lo, -1):
-                p += a[j - 1, :, None] * grid[nums[:, j - lo - 1]]
+                np.multiply(a[j - 1, :, None], grid[nums[:, j - lo - 1]], out=term)
+                p += term
+        del nums  # so that the next call's block does not coexist with this one
         hi = lo
     return _check_product(np.ascontiguousarray(p.T))
 

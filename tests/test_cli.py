@@ -182,6 +182,26 @@ def test_disc_bound_command(tmp_path, capsys):
     assert "bound = 0.4791666666666667" in out
 
 
+@pytest.mark.parametrize("w,weights,term", [
+    ("log", "1e200,1e200,1e200", "higher"),
+    ("log", "1e308,1e308,1e308", "singles"),
+    # a fully reduced third coordinate; its product overflows without a warning
+    ("explicit:0,1,5", "1e200,1e200,1e200", "outside"),
+])
+def test_disc_bound_that_overflows_exits_2(tmp_path, capsys, w, weights, term):
+    net = tmp_path / "net.txt"
+    run(capsys, "gen", "--b", "2", "--m", "4", "--s", "3", "--source", "random", "--seed", "1",
+        "--out", str(net))
+    code, out, err = run(capsys, "disc-bound", "--net", str(net), "--w", w,
+                         "--weights", weights)
+    assert (code, out) == (2, "")
+    assert err == f"error: term_{term} is not finite (inf): the weights overflow float64\n"
+    # weights of 1e10 still give a finite bound
+    code, out, _ = run(capsys, "disc-bound", "--net", str(net), "--w", "log",
+                       "--weights", "1e10,1e10,1e10")
+    assert code == 0 and "bound = 1.7000000000000001e+31" in out
+
+
 def test_exit_code_2_on_validation_error(tmp_path, capsys):
     net = tmp_path / "net.txt"
     run(capsys, "gen", "--b", "2", "--m", "4", "--s", "2", "--out", str(net))

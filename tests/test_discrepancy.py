@@ -508,7 +508,43 @@ def test_kappa_scheme_clamps_negative_logs():
     assert sched.w == (0, 0)
 
 
-def test_kappa_scheme_requires_valid_kappa():
+def test_kappa_scheme_floor_is_exact_where_the_float_root_is_not():
+    # 125 ** (1/3) is 4.999999999999999, but (1 + 2^2)^3 = 125 exactly
+    w = rn.WeightModel.constant(1.0, kappa=125.0)
+    assert rn.choose_reduction_indices(w, 2, 10, 3, "kappa").w == (0, 2, 2)
+
+
+def kappa_oracle(weights, base, m, s):
+    """w_j = the largest k <= m with (gamma_j b^k + 1)^s gamma_1^j0 <= kappa
+    (0 if there is none, and for j = 1), by Fractions and a full search."""
+    head = Fraction(weights.gamma(1)) ** weights.j_zero(s)
+    w = [0]
+    for j in range(2, s + 1):
+        g = Fraction(weights.gamma(j))
+        ok = [k for k in range(1, m + 1) if (g * base**k + 1) ** s * head <= weights.kappa]
+        w.append(max(ok, default=0))
+    return tuple(w)
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 7])
+def test_kappa_scheme_matches_fraction_oracle_at_boundary_weights(base):
+    # kappa = (gamma b^k + 1)^s gamma_1^j0 exactly, and its float neighbours
+    cases = []
+    for gamma, head, s in [(1.0, [], 3), (0.5, [], 2), (0.25, [], 4), (0.5, [2.0], 3)]:
+        for k in (1, 2, 3):
+            exact = (Fraction(gamma) * base**k + 1) ** s * Fraction(2) ** len(head)
+            kappa = float(exact)
+            values = head + [gamma] * (s - len(head))
+            for near in (np.nextafter(kappa, 0.0), kappa, np.nextafter(kappa, np.inf)):
+                cases.append((rn.WeightModel.explicit(values, kappa=float(near)), s))
+    cases += [(rn.WeightModel.polynomial(p, kappa=kappa), 6) for p in (1.0, 2.0) for kappa in (7.0, 50.0, 1e4)]
+    hits = 0
+    for weights, s in cases:
+        got = rn.choose_reduction_indices(weights, base, 5, s, "kappa").w
+        assert got == kappa_oracle(weights, base, 5, s), (weights, s)
+        hits += got[-1] > 0
+    assert hits > len(cases) // 2
+
     w = rn.WeightModel.constant(2.0, kappa=3.0)
     # gamma_1^j0 = 2^s for constant 2; kappa too small
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for standard and fast reduced matrix products."""
 
 import errno
+import hashlib
 import io
 import os
 import signal
@@ -275,19 +276,41 @@ def test_fast_equals_standard_randomized():
             assert rel_close(fast, std), (trial, m, s, tau, tr.kind)
 
 
-def test_fast_equals_standard_when_a_level_takes_several_kernel_calls():
-    # with tau = 2 a kernel call takes at most 2 b^w coordinates, so the
-    # w = 0 run of 5 is split, and for b = 3 the w = 1 run of 7 too
-    for base in (3, 5):
-        net = rn.random_net(base, 3, 13, seed=base)
-        sched = rn.ReductionSchedule.explicit([0] * 5 + [1] * 7 + [2])
-        red = rn.column_reduce(net, sched)
-        a = np.random.default_rng(base).standard_normal((13, 2))
-        for tr in (rn.Transform.identity(), rn.Transform.normal_inverse_for(base, 3)):
-            fast = rn.fast_reduced_product(red, sched, a, tr)
-            std = rn.standard_product(red, a, tr)
-            assert rel_close(fast, std), (base, tr.kind)
-        assert rn.fast_reduced_product(red, sched, a[:, :0]).shape == (base**3, 0)
+@pytest.mark.parametrize("base,chunk,fast_widths,standard_widths", [
+    # b = 3, m = 3: 2, 6 and 18 coordinates per call at w = 0, 1 and 2
+    (3, 54, [1, 6, 1, 2, 2, 1], [2] * 6 + [1]),
+    # b = 5, m = 3: 1, 6 and 30
+    (5, 150, [1, 6, 1, 1, 1, 1, 1, 1], [1] * 13),
+])
+@pytest.mark.parametrize("kind", sorted(TRANSFORMS))
+def test_fast_equals_standard_when_a_level_takes_several_kernel_calls(
+    monkeypatch, base, chunk, fast_widths, standard_widths, kind
+):
+    # a small chunk splits the w = 0 run of 5 and the w = 1 run of 7; the
+    # calls walk each run from its last coordinate down
+    monkeypatch.setattr(rn.product, "_CHUNK_ENTRIES", chunk)
+    net = rn.random_net(base, 3, 13, seed=base)
+    sched = rn.ReductionSchedule.explicit([0] * 5 + [1] * 7 + [2])
+    red = rn.column_reduce(net, sched)
+    pts = rn.generate_points(red)
+    a = np.random.default_rng(base).standard_normal((13, 2))
+    tr = TRANSFORMS[kind](base, 3)
+    kernel, seen = rn.product.coordinate_numerators, []
+
+    def counted(digits, *args):
+        seen.append(len(digits))
+        return kernel(digits, *args)
+
+    monkeypatch.setattr(rn.product, "coordinate_numerators", counted)
+    fast = rn.fast_reduced_product(red, sched, a, tr)
+    assert fast.tobytes() == whole_block_fast_product(pts, 13, a, tr).tobytes()
+    assert seen == fast_widths
+    seen.clear()
+    std = rn.standard_product(red, a, tr)
+    assert std.tobytes() == whole_block_standard_product(pts, a, tr).tobytes()
+    assert seen == standard_widths
+    assert rel_close(fast, std)
+    assert rn.fast_reduced_product(red, sched, a[:, :0]).shape == (base**3, 0)
 
 
 def test_fast_single_coordinate_bit_for_bit():
@@ -368,6 +391,33 @@ def test_fast_product_bits_match_whole_block_oracle(base, m, s, num, den, tau, k
     want = whole_block_fast_product(rn.generate_points(net), s, a, tr)
     assert got.flags.c_contiguous and got.shape == (base**m, tau)
     assert got.tobytes() == want.tobytes()
+
+
+# sha256 of p.tobytes() at paper scale, tau = 20, identity transform
+PAPER_DIGESTS = {
+    (2, 12, 800, "standard", "full"): "69fc0bb486e85b8ae78d68b3d342b372c6521017316050491b4b0864f5c123e7",
+    (2, 12, 800, "standard", "reduced"): "80108d8c8e20781a4ada56b22fa3b783718592e93f4366120ef985fc5333d178",
+    (2, 12, 800, "fast", "reduced"): "9a67323acaf13a1790569a4f3473c4c9e24b09068b233c1ee6ed53099bad57b6",
+    (3, 8, 400, "standard", "reduced"): "d9048a62ae928c2f82d04637b8e3c2570bf512cc0b0f68aac0213417db32bb9f",
+    (3, 8, 400, "fast", "reduced"): "4537215a4dd2b2a698816ad9c3d465df25f6acf7859aa7555dd6ec1db92eb470",
+}
+
+
+@pytest.mark.parametrize("base,m,s,algo,which", sorted(PAPER_DIGESTS))
+def test_paper_scale_product_bytes_match_recorded_digests(base, m, s, algo, which):
+    # A from integers and one IEEE division, so the digest depends on no
+    # libm and no random stream; b = 2 reduces by log, b = 3 by sqrtlog
+    i, j = np.indices((s, 20))
+    a = ((i * 7919 + j * 104729) % 1000003) / 1000003 - 0.5
+    sched = rn.ReductionSchedule.floor_log(s, base, m, 1, 1 if base == 2 else 2)
+    net = rn.random_net(base, m, s, seed=1)
+    if which == "reduced":
+        net = rn.column_reduce(net, sched)
+    if algo == "standard":
+        p = rn.standard_product(net, a)
+    else:
+        p = rn.fast_reduced_product(net, sched, a)
+    assert hashlib.sha256(p.tobytes()).hexdigest() == PAPER_DIGESTS[base, m, s, algo, which]
 
 
 def test_products_restore_the_ufunc_buffer_size(monkeypatch):
