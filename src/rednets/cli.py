@@ -1,5 +1,5 @@
 """Command-line surface: net generation, reduction, quality reports,
-products, discrepancy bounds, and the benchmark harness.
+products and discrepancy bounds.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 enumeration budget
 exhausted.  The enumeration budget can be set with REDNETS_ENUM_BUDGET, the
@@ -13,10 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from contextlib import contextmanager
-
-import numpy as np
 
 from . import __version__
 from .nets import (
@@ -24,7 +21,6 @@ from .nets import (
     NetSpec,
     ReductionSchedule,
     _check_block,
-    _check_entries,
     column_reduce,
     generate_points,
     pascal_net,
@@ -36,18 +32,10 @@ from .nets import (
 from .product import (
     Transform,
     fast_reduced_product,
-    op_count_model,
     read_matrix_csv,
     standard_product,
     write_product_bin,
     write_product_csv,
-)
-
-# Frozen schema; the products are single-threaded, so ``workers`` is always 1,
-# and each generates its own points, so ``point_gen_ns``/``mult_ns`` are empty.
-BENCH_CSV_FIELDS = (
-    "algo,b,m,s,s_star,tau,w_scheme,seed,workers,rep,"
-    "wall_ns,point_gen_ns,mult_ns,predicted_ops"
 )
 
 
@@ -196,70 +184,12 @@ def _cmd_product(args: argparse.Namespace) -> int:
         sched = parse_schedule(args.w, net.s, net.base, net.m)
         p = fast_reduced_product(net, sched, a, transform)
     else:
+        if args.w is not None:
+            raise ValueError("--algo standard takes no --w")
         p = standard_product(net, a, transform)
     write = write_product_bin if args.bin else write_product_csv
     with _out_stream(args.out, binary=args.bin) as fh:
         write(p, fh)
-    return 0
-
-
-def _bench_config(
-    b: int, m: int, s: int, tau: int, scheme: str, seed: int, reps: int
-) -> list[dict]:
-    import statistics  # not at module level: it loads fractions and decimal
-
-    net = random_net(b, m, s, seed)
-    sched = parse_schedule(scheme, s, b, m)
-    reduced = column_reduce(net, sched)
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((s, tau))
-    ops = op_count_model(m, sched, tau, s, base=b)
-    # algo -> (product call, predicted ops), timed in this order in each rep
-    products = {
-        "fast_column": (lambda: fast_reduced_product(reduced, sched, a), ops.fast),
-        "standard": (lambda: standard_product(reduced, a), ops.standard + ops.point_gen),
-    }
-
-    for product, _ in products.values():  # warm-up pass, discarded
-        product()
-
-    rows = []
-    for rep in range(reps):
-        for algo, (product, predicted_ops) in products.items():
-            t0 = time.perf_counter_ns()
-            product()
-            wall_ns = time.perf_counter_ns() - t0
-            rows.append(dict(
-                algo=algo, b=b, m=m, s=s, s_star=sched.s_star(m), tau=tau,
-                w_scheme=scheme, seed=seed, workers=1, rep=rep, wall_ns=wall_ns,
-                point_gen_ns="", mult_ns="", predicted_ops=predicted_ops,
-            ))
-
-    for algo in products:
-        group = [r for r in rows if r["algo"] == algo]
-        wall_ns = int(statistics.median(r["wall_ns"] for r in group))
-        rows.append(dict(group[0], rep="median", wall_ns=wall_ns))
-    return rows
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.reps < 3:
-        raise ValueError(f"--reps must be >= 3 for a median, got {args.reps}")
-    if args.tau < 1:
-        raise ValueError(f"--tau must be >= 1, got {args.tau}")
-    m_list = [int(x) for x in args.m_list.split(",")]
-    s_list = [int(x) for x in args.s_list.split(",")]
-    configs = [(m, s) for m in m_list for s in s_list]
-    for m, s in configs:
-        _check_entries(args.b**m * s, "point block")
-    rows = []
-    for m, s in configs:
-        rows += _bench_config(args.b, m, s, args.tau, args.w_scheme, args.seed, args.reps)
-    fields = BENCH_CSV_FIELDS.split(",")
-    with _out_stream(args.out) as fh:
-        fh.write(BENCH_CSV_FIELDS + "\n")
-        for r in rows:
-            fh.write(",".join(str(r[f]) for f in fields) + "\n")
     return 0
 
 
@@ -326,17 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_product)
-
-    p = sub.add_parser("bench", help="fast vs standard timing sweep, CSV out")
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--m-list", required=True, dest="m_list")
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--s-list", required=True, dest="s_list")
-    p.add_argument("--w-scheme", default="log", dest="w_scheme")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_bench)
 
     return top
 

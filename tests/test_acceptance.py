@@ -5,6 +5,7 @@ captured output); a failure surfaces as a normal pytest failure.  Stated
 runtime limits are asserted with wall-clock measurements.
 """
 
+import importlib.util
 import io
 import math
 import os
@@ -19,7 +20,12 @@ import numpy as np
 import pytest
 
 import rednets as rn
-from rednets.cli import _bench_config
+
+# criterion 9 times through the sweep script's own timing function
+_spec = importlib.util.spec_from_file_location(
+    "bench_sweep", Path(__file__).resolve().parent.parent / "scripts" / "bench_sweep.py")
+bench_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_sweep)
 
 
 def report(n, text):
@@ -195,7 +201,7 @@ def test_criterion_9_performance():
     ratio = ops.fast / ops.standard
     assert ratio <= 0.15
 
-    rows = _bench_config(2, 12, 800, 20, "log", seed=1, reps=3)
+    rows = bench_sweep.time_config(12, 800, "log", seed=1, reps=3)
     med = {r["algo"]: r for r in rows if r["rep"] == "median"}
     fast_ns = med["fast_column"]["wall_ns"]
     std_ns = med["standard"]["wall_ns"]

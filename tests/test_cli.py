@@ -3,7 +3,6 @@
 import hashlib
 import io
 import os
-import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +13,7 @@ import pytest
 
 import rednets as rn
 from oracles import matrices, row
-from rednets.cli import BENCH_CSV_FIELDS, main, parse_schedule
+from rednets.cli import main
 from rednets.product import write_product_bin, write_product_csv
 
 
@@ -149,8 +148,6 @@ def test_every_command_leaves_the_ufunc_buffer_size_as_it_was(tmp_path, capsys):
         # exits 2: the net was reduced by sqrtlog, not log
         ["product", "--net", str(red), "--a", str(a), "--algo", "fast",
          "--w", "log", "--out", str(tmp_path / "bad.csv")],
-        ["bench", "--b", "2", "--m-list", "6,7", "--tau", "3", "--s-list", "20",
-         "--w-scheme", "log", "--reps", "3", "--out", str(tmp_path / "bench.csv")],
     ]
     old_size, old_err = np.setbufsize(4096), np.seterr(over="raise")
     caller = (np.getbufsize(), np.geterr())
@@ -159,7 +156,7 @@ def test_every_command_leaves_the_ufunc_buffer_size_as_it_was(tmp_path, capsys):
     finally:
         np.setbufsize(old_size)
         np.seterr(**old_err)
-    assert seen == [(0, caller)] * 9 + [(2, caller), (0, caller)]
+    assert seen == [(0, caller)] * 9 + [(2, caller)]
 
 
 def test_report_command(tmp_path, capsys):
@@ -435,76 +432,31 @@ def test_product_norminv_shift_spec_matches_library(tmp_path, capsys):
     assert code == 2 and err == "error: norminv needs a positive right shift\n"
 
 
-def test_bench_csv_schema_and_predictions(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    code, _, _ = run(capsys, "bench", "--b", "2", "--m-list", "6", "--tau", "3",
-                     "--s-list", "4,8", "--w-scheme", "log", "--seed", "5",
-                     "--reps", "3", "--out", str(out))
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == BENCH_CSV_FIELDS
-    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
-    # per config: fast_column then standard for each rep, then both medians;
-    # every column but wall_ns is pinned
-    want = []
-    for s in (4, 8):
-        sched = parse_schedule("log", s, 2, 6)
-        ops = rn.op_count_model(6, sched, 3, s)
-        for rep in ("0", "1", "2", "median"):
-            for algo, predicted in (("fast_column", ops.fast),
-                                    ("standard", ops.standard + ops.point_gen)):
-                # both products generate their own points, so no row splits its time
-                want.append(dict(
-                    algo=algo, b="2", m="6", s=str(s), s_star=str(sched.s_star(6)),
-                    tau="3", w_scheme="log", seed="5", workers="1", rep=rep,
-                    point_gen_ns="", mult_ns="", predicted_ops=str(predicted),
-                ))
-    assert [{k: v for k, v in r.items() if k != "wall_ns"} for r in rows] == want
-    assert all(int(r["wall_ns"]) > 0 for r in rows)
-    medians = [r for r in rows if r["rep"] == "median"]
-    assert len(medians) == 4
-    for med in medians:
-        reps = [r for r in rows if r["rep"] != "median" and r["algo"] == med["algo"]
-                and r["s"] == med["s"]]
-        assert int(med["wall_ns"]) == int(statistics.median(int(r["wall_ns"]) for r in reps))
+@pytest.mark.parametrize("algo, w, line", [
+    pytest.param("fast", (), "--algo fast requires --w", id="fast"),
+    # a schedule that does not fit the net is not silently ignored
+    pytest.param("standard", ("--w", "explicit:0,9,9"), "--algo standard takes no --w",
+                 id="standard"),
+])
+def test_product_takes_w_with_the_fast_algorithm_only(tmp_path, capsys, algo, w, line):
+    net, a = tmp_path / "net.txt", tmp_path / "a.csv"
+    run(capsys, "gen", "--b", "2", "--m", "4", "--s", "3", "--out", str(net))
+    a.write_text("1,2\n3,4\n5,6\n")
+    code, out, err = run(capsys, "product", "--net", str(net), "--a", str(a),
+                         "--algo", algo, *w)
+    assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
-def test_bench_memory_guard(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(rn.nets, "_MAX_ENTRIES", 100)
-    code, out, err = run(capsys, "bench", "--b", "2", "--m-list", "8", "--tau", "2",
-                         "--s-list", "4", "--reps", "3", "--out", "-")
-    assert code == 2
-    assert "exceeds the limit of 100" in err
-    assert out == ""
-
-
-def test_bench_single_coordinate_no_reduction_benefit(tmp_path, capsys):
-    # at s = 1 both pipelines do essentially the same work; the ratio is
-    # only asserted within a generous noise band
-    out = tmp_path / "bench.csv"
-    code, _, _ = run(capsys, "bench", "--b", "2", "--m-list", "10", "--tau", "4",
-                     "--s-list", "1", "--reps", "5", "--out", str(out))
-    assert code == 0
-    lines = out.read_text().splitlines()
-    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
-    med = {r["algo"]: int(r["wall_ns"]) for r in rows if r["rep"] == "median"}
-    ratio = med["fast_column"] / med["standard"]
-    assert 0.1 < ratio < 10.0
-
-
-def test_bench_rejects_too_few_reps(capsys):
-    code, out, err = run(capsys, "bench", "--b", "2", "--m-list", "4", "--tau", "2",
-                         "--s-list", "2", "--reps", "2", "--out", "-")
-    assert (code, out) == (2, "")
-    assert err == "error: --reps must be >= 3 for a median, got 2\n"
-
-
-@pytest.mark.parametrize("tau", ["0", "-1"])
-def test_bench_rejects_tau_below_one(capsys, tau):
-    code, out, err = run(capsys, "bench", "--b", "2", "--m-list", "4", "--tau", tau,
-                         "--s-list", "2", "--out", "-")
-    assert (code, out) == (2, "")
-    assert err == f"error: --tau must be >= 1, got {tau}\n"
+def test_bench_is_no_longer_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--m-list", "8", "--tau", "20", "--s-list", "800"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "product" in out and "bench" not in out
 
 
 def test_determinism_same_seed_same_bytes(tmp_path, capsys):
@@ -554,19 +506,6 @@ def test_rho_on_a_net_with_a_huge_prime_base_exits_at_once(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "rho = 0"
-
-
-def test_bench_vary_m_script_runs_from_a_source_checkout(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_vary_m.py"),
-         "--m-max", "8", "--reps", "3", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    rows = (tmp_path / "vary_m_s800_tau20_log.csv").read_text().splitlines()
-    assert rows[0] == BENCH_CSV_FIELDS
-    assert sum(",median," in row for row in rows) == 2
 
 
 @pytest.mark.parametrize("base", ["0", "1", "4"])
@@ -644,7 +583,9 @@ def test_report_and_disc_bound_refuse_an_oversized_point_block_with_exit_2(
         net.write_text(net_text)
     a.write_text("1.5\n")
     cmd = [str(a) if arg == "A_CSV" else arg for arg in cmd]
-    code, out, err = run(capsys, *cmd, "--net", str(net), "--w", w)
+    if cmd[0] != "product":  # the standard product takes no schedule
+        cmd += ["--w", w]
+    code, out, err = run(capsys, *cmd, "--net", str(net))
     assert (code, out) == (2, "")
     assert err == f"error: point block of {entries} entries exceeds the limit of 268435456\n"
 

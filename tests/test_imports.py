@@ -67,8 +67,9 @@ def net_and_a(tmp_path):
 def test_product_command_never_loads_quality_or_discrepancy(net_and_a, tmp_path, algo):
     net, a = net_and_a
     out = tmp_path / "p.csv"
+    w = ["--w", "explicit:0,0,0,0"] if algo == "fast" else []
     proc, loaded = fresh("-m", "rednets.cli", "product", "--net", str(net), "--a", str(a),
-                         "--algo", algo, "--w", "explicit:0,0,0,0", "--out", str(out))
+                         "--algo", algo, *w, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert len(out.read_text().splitlines()) == 1 + 2**6
     assert not loaded & UNUSED_BY_PRODUCT
