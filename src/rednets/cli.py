@@ -17,6 +17,7 @@ from contextlib import contextmanager
 
 from . import __version__
 from .nets import (
+    DEFAULT_BUDGET,
     EnumerationBudgetError,
     NetSpec,
     ReductionSchedule,
@@ -40,8 +41,6 @@ from .product import (
 
 
 def _budget() -> int:
-    from .quality import DEFAULT_BUDGET  # not at module level: product needs no quality
-
     raw = os.environ.get("REDNETS_ENUM_BUDGET")
     if raw and not raw.strip().isdecimal():
         raise ValueError(f"REDNETS_ENUM_BUDGET must be a nonnegative integer, got {raw!r}")
@@ -130,11 +129,14 @@ def _cmd_rho(args: argparse.Namespace) -> int:
 
 
 def _cmd_tvalue(args: argparse.Namespace) -> int:
-    from .quality import strict_t
+    from .quality import _normalize_subset, _shapes, strict_t
 
     net = _load_net(args.net)
     u = parse_subset(args.u)
     budget = _budget()
+    # strict_t's checks, in its order, before the point block is built
+    _check_block(net.base, net.m, net.m, net.s)
+    _shapes(net, 0, (1,) * len(_normalize_subset(u, net.s)), budget)
     t = strict_t(generate_points(net), u, budget=budget)
     print(f"t = {t}")
     return 0

@@ -16,14 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .nets import PointBlock, ReductionSchedule
-from .quality import (
-    DEFAULT_BUDGET,
-    EnumerationBudgetError,
-    _normalize_subset,
-    _subsets,
-    theorem_bounds,
-)
+from .nets import DEFAULT_BUDGET, EnumerationBudgetError, PointBlock, ReductionSchedule
+from .quality import _normalize_subset, _subsets, theorem_bounds
 
 __all__ = [
     "GlobalBound",

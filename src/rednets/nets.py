@@ -130,11 +130,8 @@ class ReductionSchedule:
         return len(self.w)
 
     def s_star(self, m: int) -> int:
-        """Largest 1-based index j with w_j < m, or 0 if none."""
-        for j in range(len(self.w), 0, -1):
-            if self.w[j - 1] < m:
-                return j
-        return 0
+        """Largest 1-based index j with w_j < m (0 if none): their count, as w is nondecreasing."""
+        return sum(wj < m for wj in self.w)
 
     @classmethod
     def explicit(cls, w: Sequence[int]) -> ReductionSchedule:
@@ -330,6 +327,10 @@ def block_diag_seq(digits: np.ndarray, base: int, t: int, m: int) -> NetSpec:
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when a brute-force enumeration would exceed its work budget."""
+
+
+# Work budget of every brute-force enumeration unless the caller sets one.
+DEFAULT_BUDGET = 10_000_000
 
 
 def _check_entries(count: int, what: str) -> None:

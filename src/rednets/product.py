@@ -6,8 +6,8 @@ b^(w_j) times, so the running (tau, rows) product is tiled vertically
 between coordinates and updated with one rank-one term x_j a_j per
 coordinate, from the last unreduced one down to the first; the point
 kernel runs on a few coordinates at a time, so no numerator block of the
-whole net exists either.  The standard product is that loop with no
-reduction (nothing is tiled) on the coordinates in reverse order.  Neither
+whole net exists either.  The standard product is that loop on the
+zero schedule (nothing is tiled), coordinates reversed.  Neither
 product calls BLAS, so no output depends on its thread count.  The loop
 runs under a small ufunc buffer (see ``nets._RANK_ONE_BUFSIZE`` for why,
 and why no output depends on it) and raises ValueError at the first entry
@@ -218,16 +218,15 @@ def standard_product(
 ) -> np.ndarray:
     """X A for all b^m points of the net, accumulated coordinate by coordinate.
 
-    The loop of ``fast_reduced_product`` with no reduction (every w_j = 0, so
-    nothing is tiled) on the coordinates in reverse: that loop adds the last
-    coordinate first, so every entry is 0 + x_1 a_1 + ... + x_s a_s in this
-    fixed order, bit for bit.  The reversed digits and rows of A are views.
+    The loop of ``fast_reduced_product`` on the zero schedule (every w_j = 0,
+    so nothing is tiled) with the coordinates reversed: that loop adds the
+    last coordinate first, so every entry is 0 + x_1 a_1 + ... + x_s a_s in
+    this fixed order, bit for bit.  The reversed digits and rows of A are views.
     """
     b, m = net.base, net.m
     _check_block(b, m, m, net.s)
     a = _check_a(a, net.s)
-    _check_entries(b**m * a.shape[1], "product block")
-    return _rank_one_sum(net.digits[::-1], (0,) * net.s, a[::-1], transform, b, m)
+    return _rank_one_sum(net.digits[::-1], ReductionSchedule((0,) * net.s), a[::-1], transform, b)
 
 
 def _validate_reduced(net: NetSpec, sched: ReductionSchedule) -> None:
@@ -260,15 +259,16 @@ def fast_reduced_product(
     """
     a = _check_a(a, net.s)
     _validate_reduced(net, sched)
-    _check_entries(net.base**net.m * max(a.shape[1], 1), "product block")
-    return _rank_one_sum(net.digits, sched.w, a, transform, net.base, net.m)
+    return _rank_one_sum(net.digits, sched, a, transform, net.base)
 
 
 def _rank_one_sum(
-    digits: np.ndarray, w: tuple[int, ...], a: np.ndarray, transform: Transform, base: int, m: int
+    digits: np.ndarray, sched: ReductionSchedule, a: np.ndarray, transform: Transform, base: int
 ) -> np.ndarray:
     """The one accumulation loop of both products (see fast_reduced_product)."""
-    tau, s_star = a.shape[1], sum(wj < m for wj in w)
+    m, tau, w = digits.shape[1], a.shape[1], sched.w
+    _check_entries(base**m * max(tau, 1), "product block")  # before anything is built
+    s_star = sched.s_star(m)
     # phi(n / b^m) for every numerator n, so no level block is transformed
     grid = transform.apply(np.arange(base**m) / float(base**m))
     # (tau, rows): each rank-one term runs along a contiguous row

@@ -20,7 +20,8 @@ import numpy as np
 
 from .gfmat import _rank_form, _rank_rows
 from .nets import (
-    EnumerationBudgetError, NetSpec, PointBlock, ReductionSchedule, _check_block, column_reduce,
+    DEFAULT_BUDGET, EnumerationBudgetError, NetSpec, PointBlock, ReductionSchedule, _check_block,
+    column_reduce,
 )
 
 __all__ = [
@@ -35,8 +36,6 @@ __all__ = [
     "verify_tms_net",
     "verify_tmes_net",
 ]
-
-DEFAULT_BUDGET = 10_000_000
 
 
 def compositions(total: int, steps: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -560,6 +560,70 @@ def test_tvalue_on_a_net_with_a_huge_prime_base_is_rejected_before_allocating(
     )
 
 
+@pytest.mark.parametrize("u, code, line", [
+    pytest.param(None, 3, "456703981505085600 interval shapes x 262144 points "
+                 "exceeds budget 10000000", id="budget"),
+    pytest.param("0", 2, "subset indices must lie in [1, 64]", id="subset"),
+])
+def test_tvalue_checks_its_budget_before_building_the_point_block(
+    tmp_path, capsys, monkeypatch, u, code, line
+):
+    # a 262,144 x 64 block would be built only to be refused by strict_t
+    net = tmp_path / "net.txt"
+    assert run(capsys, "gen", "--b", "2", "--m", "18", "--s", "64", "--source", "random",
+               "--out", str(net))[0] == 0
+    monkeypatch.delenv("REDNETS_ENUM_BUDGET", raising=False)
+
+    def no_points(*args):
+        raise AssertionError("generate_points called")
+
+    monkeypatch.setattr(rn.cli, "generate_points", no_points)
+    argv = ["tvalue", "--net", str(net)] + ([] if u is None else ["--u", u])
+    assert run(capsys, *argv) == (code, "", f"error: {line}\n")
+
+
+def test_rho_and_tvalue_take_a_subset(tmp_path, capsys):
+    net = rn.random_net(3, 4, 5, seed=4)
+    path = tmp_path / "net.txt"
+    with open(path, "w") as fh:
+        rn.write_net(net, fh)
+    want = {"rho": f"rho = {rn.rho(net, (1, 2))}\n",
+            "tvalue": f"t = {rn.strict_t(rn.generate_points(net), (1, 2))}\n"}
+    for cmd, line in want.items():
+        assert run(capsys, cmd, "--net", str(path), "--u", "1,2") == (0, line, "")
+        assert run(capsys, cmd, "--net", str(path), "--u", "0") == (
+            2, "", "error: subset indices must lie in [1, 5]\n"
+        )
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(["reduce", "--w", "bogus"], "unknown schedule spec 'bogus'", id="w"),
+    pytest.param(["product", "--algo", "standard", "--transform", "bogus"],
+                 "unknown transform 'bogus'", id="transform"),
+])
+def test_unknown_schedule_or_transform_spec_exits_2(tmp_path, capsys, argv, line):
+    net, a = tmp_path / "net.txt", tmp_path / "a.csv"
+    run(capsys, "gen", "--b", "2", "--m", "4", "--s", "2", "--out", str(net))
+    a.write_text("1\n2\n")
+    if argv[0] == "product":
+        argv = argv + ["--a", str(a)]
+    assert run(capsys, *argv, "--net", str(net), "--out", str(tmp_path / "out")) == (
+        2, "", f"error: {line}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_disc_bound_prints_the_outside_term(tmp_path, capsys):
+    # w_2 = m reduces coordinate 2 away; gamma_2 (1 + 2^4) = 17/32 <= 1, so
+    # the outside term takes that factor alone: 2 * 17/32 / 16
+    net = tmp_path / "net.txt"
+    run(capsys, "gen", "--b", "2", "--m", "4", "--s", "2", "--out", str(net))
+    code, out, err = run(capsys, "disc-bound", "--net", str(net), "--w", "explicit:0,4",
+                         "--weights", "poly:5")
+    assert (code, err) == (0, "")
+    assert out == "term_outside = 0.06640625\nterm_singles = 0.0625\nbound = 0.06640625\n"
+
+
 @pytest.mark.parametrize("cmd", [
     ["report"],
     ["disc-bound", "--weights", "poly:2"],

@@ -450,6 +450,39 @@ def test_global_bound_with_fully_reduced_coordinate():
             assert wdisc <= gb.value + 1e-12
 
 
+def test_global_bound_outside_term_is_the_largest_subset_product():
+    # The outside term maximizes prod_{j in u} gamma_j (1 + b^w_j) / b^m over
+    # the subsets u that touch a fully reduced coordinate; half the weights
+    # keep every fully reduced factor <= 1, the branch that takes the
+    # largest of them alone.
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(200):
+        base, m, s = int(rng.choice([2, 3, 5])), int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        w = np.sort(rng.integers(0, m + 2, size=s))
+        w[0], w[-1] = 0, max(w[-1], m)
+        sched = rn.ReductionSchedule.explicit(w)
+        s_star = sched.s_star(m)
+        factors_small = bool(rng.integers(2))
+        gammas = sorted(rng.uniform(0.01, 2.0, size=s), reverse=True)
+        if factors_small:
+            cap = min(1.0 / (1 + base ** int(wj)) for wj in w[s_star:])
+            gammas = [min(g, cap) for g in gammas]
+        weights = rn.WeightModel.explicit(gammas)
+        factors = [weights.gamma(j + 1) * (1 + base ** int(w[j])) for j in range(s)]
+        brute = max(
+            math.prod(factors[j] for j in u)
+            for size in range(1, s + 1)
+            for u in combinations(range(s), size)
+            if max(u) >= s_star
+        ) / base**m
+        tmap = {u: 0 for size in (1, 2) for u in combinations(range(1, s_star + 1), size)}
+        gb = rn.global_disc_bound(tmap, sched, weights, base, m, s, proj_cap=2)
+        assert gb.outside == pytest.approx(brute, rel=1e-12)
+        seen.add(factors_small and max(factors[s_star:]) <= 1.0)
+    assert seen == {False, True}
+
+
 def test_global_bound_missing_projection_errors():
     sched = rn.ReductionSchedule.explicit([0, 1])
     with pytest.raises(ValueError):

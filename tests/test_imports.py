@@ -120,7 +120,9 @@ def test_submodules_are_attributes_before_any_explicit_import():
 def test_budget_error_has_one_identity():
     assert rn.EnumerationBudgetError is nets.EnumerationBudgetError
     assert rn.EnumerationBudgetError is rn.quality.EnumerationBudgetError
+    assert rn.DEFAULT_BUDGET is rn.quality.DEFAULT_BUDGET is nets.DEFAULT_BUDGET
     assert "EnumerationBudgetError" not in nets.__all__
+    assert "DEFAULT_BUDGET" not in nets.__all__
 
 
 def test_lazy_names_follow_a_replaced_module_attribute(monkeypatch):
