@@ -88,14 +88,6 @@ class WeightModel:
             return cls.polynomial(float(text[5:]), **kw)
         return cls.explicit([float(v) for v in text.split(",")], **kw)
 
-    def spec(self) -> str:
-        """Inverse of :meth:`parse`."""
-        if self.kind == "const":
-            return f"const:{self.param}"
-        if self.kind == "poly":
-            return f"poly:{self.param}"
-        return ",".join(repr(v) for v in self.values)
-
     def gamma(self, j: int) -> float:
         """Weight of coordinate j, 1-based."""
         if j < 1:

@@ -58,16 +58,12 @@ class NetSpec:
 
     ``digits[j, r, i]`` is entry (r, i) of the (j+1)-th matrix, held in one
     read-only (s, m, m) array of uint8 below b = 128 and uint64 above; nets
-    compare equal by value.  ``declared_t`` is a quality claim carried by
-    constructions with known t-value; reductions drop it and quality
-    analysis re-derives it.
+    compare equal by value.  A net is its digits: quality analysis derives t.
     """
 
     base: int
     m: int
     digits: np.ndarray = field(repr=False)
-    declared_t: int | None = None
-    provenance: str = "constructed"
 
     def __post_init__(self) -> None:
         _check_base(self.base)
@@ -84,15 +80,13 @@ class NetSpec:
         d = d.astype(np.uint8 if self.base < 128 else np.uint64)
         d.flags.writeable = False
         object.__setattr__(self, "digits", d)
-        if self.declared_t is not None and not 0 <= self.declared_t <= self.m:
-            raise ValueError("declared_t outside [0, m]")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetSpec):
             return NotImplemented
-        return (self.base, self.m, self.declared_t, self.provenance) == (
-            other.base, other.m, other.declared_t, other.provenance
-        ) and np.array_equal(self.digits, other.digits)
+        return (self.base, self.m) == (other.base, other.m) and np.array_equal(
+            self.digits, other.digits
+        )
 
     def __hash__(self) -> int:
         return hash((self.base, self.m, self.digits.shape, self.digits.tobytes()))
@@ -241,8 +235,7 @@ def pascal_net(base: int, m: int, s: int) -> NetSpec:
     P has entry binom(r, i) mod base at 0-based row i, column r, and
     coordinate j uses P^(j-1) (the identity for j = 1).  By the binomial
     theorem, (P^k)[i, r] = binom(r, i) k^(r-i) mod base with 0^0 = 1, so
-    the entries are filled in exact integers without matrix products.  The
-    quality claim t = 0 is only attached for base 2 with s <= 2.
+    the entries are filled in exact integers without matrix products.
     """
     _check_net_args(base, m, s)
     digits = [
@@ -250,8 +243,7 @@ def pascal_net(base: int, m: int, s: int) -> NetSpec:
           for r in range(m)] for i in range(m)]
         for k in range(s)
     ]
-    t = 0 if (base == 2 and s <= 2) else None
-    return NetSpec(base, m, np.array(digits), declared_t=t, provenance="pascal")
+    return NetSpec(base, m, np.array(digits))
 
 
 def random_net(base: int, m: int, s: int, seed: int) -> NetSpec:
@@ -262,7 +254,7 @@ def random_net(base: int, m: int, s: int, seed: int) -> NetSpec:
     """
     _check_net_args(base, m, s)
     digits = _uniform_digits(seed, s * m * m, base, (1 << 64) - (1 << 64) % base)
-    return NetSpec(base, m, digits.reshape(s, m, m), provenance=f"random(seed={seed})")
+    return NetSpec(base, m, digits.reshape(s, m, m))
 
 
 def _kept_columns(net: NetSpec, sched: ReductionSchedule) -> np.ndarray:
@@ -291,8 +283,8 @@ def prepend_zero_columns_seq(digits: np.ndarray, base: int, t: int, m: int) -> N
     ``digits`` holds D_1, D_2 over F_base as a (2, r, c) integer array with
     r, c >= m, such as ``pascal_net(base, m, 2).digits``.  C_j is
     [0_{m x t} | left m x (m-t) block of D_j].  When D_1, D_2 generate a
-    (0,2)-sequence the result carries declared_t = t; the caller is
-    responsible for that hypothesis.
+    (0,2)-sequence the result is a strict (t, m, 2)-net; otherwise its t
+    may be larger, and only analysis of its digits tells.
     """
     if t < 0 or t > m:
         raise ValueError("need 0 <= t <= m")
@@ -306,7 +298,7 @@ def prepend_zero_columns_seq(digits: np.ndarray, base: int, t: int, m: int) -> N
         raise ValueError(f"digits outside [0, {base})")
     out = np.zeros((2, m, m), dtype=d.dtype)
     out[:, :, t:] = d[:, :m, : m - t]
-    return NetSpec(base, m, out, declared_t=t)
+    return NetSpec(base, m, out)
 
 
 def block_diag_seq(digits: np.ndarray, base: int, t: int, m: int) -> NetSpec:
@@ -315,21 +307,22 @@ def block_diag_seq(digits: np.ndarray, base: int, t: int, m: int) -> NetSpec:
     C_1 is the first matrix of :func:`prepend_zero_columns_seq`; C_2 is
     block-diagonal with the t x t and (m-t) x (m-t) leading blocks of D_2.
     Its reduced linear independence parameter equals m - max(t, w_2)
-    exactly, and declared_t = t holds under the same hypothesis.
+    exactly, and it is a strict (t, m, 2)-net under the same hypothesis.
     """
     first = prepend_zero_columns_seq(digits, base, t, m).digits[0]
     d2 = np.asarray(digits)[1]
     second = np.zeros_like(first)
     second[:t, :t] = d2[:t, :t]
     second[t:, t:] = d2[: m - t, : m - t]
-    return NetSpec(base, m, np.stack((first, second)), declared_t=t)
+    return NetSpec(base, m, np.stack((first, second)))
 
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when a brute-force enumeration would exceed its work budget."""
 
 
-# Work budget of every brute-force enumeration unless the caller sets one.
+# Work budget of the rank, cell-count and projection enumerations unless the
+# caller sets one; exact_star_discrepancy counts its grid corners against 2^25.
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -503,11 +496,11 @@ def read_net(fh: IO[str]) -> NetSpec:
         pairs = np.frombuffer(text[end:].encode("ascii"), "<u2").reshape(-1, m)
         digits = pairs - np.frombuffer(("0 " * m)[:-1].encode("ascii") + b"\n", "<u2")
         if (digits < base).all():
-            return NetSpec(base, m, digits.reshape(s, m, m), provenance="file")
+            return NetSpec(base, m, digits.reshape(s, m, m))
     lines = [ln for ln in io.StringIO(text[end:]) if ln.strip()]
     if len(lines) != s * m:
         raise ValueError(f"expected {1 + s * m} lines, found {1 + len(lines)}")
     digits = _loadtxt(lines, "net file body", dtype=np.int64)
     if digits.shape[1] != m:
         raise ValueError(f"row length {digits.shape[1]} != m = {m}")
-    return NetSpec(base, m, digits.reshape(s, m, m), provenance="file")
+    return NetSpec(base, m, digits.reshape(s, m, m))

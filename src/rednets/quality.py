@@ -347,9 +347,10 @@ class QualityReport:
     """Quality summary of a column-reduced net.
 
     ``rho`` and ``t_exact`` describe the reduced net over all coordinates;
-    ``t_upper`` is the reduction-index bound min(m, w_s + t).  The projection
-    table maps 1-based coordinate subsets (up to the configured size cap) to
-    the same triple for the projected net.
+    ``t_upper`` = min(m, w_s + t) on the unreduced net's t bounds ``t_exact``
+    for nets from a digital sequence (:class:`TheoremBounds`), not for all.
+    The projection table maps 1-based coordinate subsets (up to the
+    configured size cap) to the same triple for the projected net.
     """
 
     base: int
@@ -378,10 +379,10 @@ def analyze(
     """Reduce the net and derive its quality report.
 
     The t-values of the unreduced net and of its projections come from rank
-    scans, with no point block (or from ``declared_t`` for the full set when
-    present), and combine with the reduction indices into per-projection bounds.
-    The reduced net's t is m - rho, and each projection's rho is m - t.
-    Projections larger than ``proj_cap`` coordinates are skipped.
+    scans, with no point block, and give each set's ``t_upper`` (a bound only
+    under :class:`QualityReport`'s hypothesis).  The reduced net's t is
+    m - rho, and each projection's rho is m - t.  Projections larger than
+    ``proj_cap`` coordinates are skipped.
     """
     if proj_cap < 0:
         raise ValueError(f"proj_cap must be >= 0, got {proj_cap}")
@@ -389,17 +390,13 @@ def analyze(
     # The rank scans stand for cell counts, so the point block's limits hold.
     _check_block(net.base, net.m, net.m, net.s)
     s, ones = net.s, (1,) * net.s
-    # Budget errors come in the order of a plain t = 0 scan of each set.
-    if net.declared_t is None:
-        _shapes(net, 0, ones, budget)
+    # Budget errors come in a plain t = 0 scan's order (the reduced net's count is the same).
+    _shapes(net, 0, ones, budget)
     rho_full = rho(reduced, budget=budget)
-    _shapes(reduced, 0, ones, budget)
     base_t = _projection_t(net, s, proj_cap, budget)
     red_t = _projection_t(reduced, s, proj_cap, budget)
-    t_full = net.declared_t
-    if t_full is None and proj_cap >= s:
-        t_full = base_t[tuple(range(1, s + 1))]
-    elif t_full is None:
+    t_full = base_t.get(tuple(range(1, s + 1)))
+    if t_full is None:
         lo, inner = max(base_t.values(), default=0), proj_cap >= s - 1
         t_full = _scan_t(net, range(s), lo, inner, budget, _rank_check(net, range(s)))
 

@@ -31,9 +31,9 @@ def matrices(net):
     return tuple(Matrix(b, m, m, tuple(ent)) for ent in flat)
 
 
-def net_from_matrices(base, m, mats, **fields):
-    """Net from m x m ``Matrix`` values; fields are declared_t and provenance."""
-    return NetSpec(base, m, np.array([c.entries for c in mats]).reshape(-1, m, m), **fields)
+def net_from_matrices(base, m, mats):
+    """Net from m x m ``Matrix`` values."""
+    return NetSpec(base, m, np.array([c.entries for c in mats]).reshape(-1, m, m))
 
 
 def from_rows(base, rows, n_cols=None):

@@ -43,15 +43,13 @@ def slow_star_disc(points, u):
 # --- weight models ------------------------------------------------------------
 
 
-def test_weight_model_parse_and_spec_round_trip():
+def test_weight_model_parse():
     w = rn.WeightModel.parse("const:0.5")
     assert w.gamma(1) == 0.5 and w.gamma(7) == 0.5
     w = rn.WeightModel.parse("poly:2")
     assert w.gamma(3) == pytest.approx(1 / 9)
     w = rn.WeightModel.parse("1.0,0.5,0.25")
     assert w.gamma(2) == 0.5
-    for text in ("const:2", "poly:1.5", "0.5,0.5,0.125"):
-        assert rn.WeightModel.parse(rn.WeightModel.parse(text).spec()).gammas(3).tolist() == rn.WeightModel.parse(text).gammas(3).tolist()
 
 
 def test_weight_model_validation():

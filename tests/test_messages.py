@@ -18,7 +18,6 @@ TWO = rn.ReductionSchedule((0, 1))
 MESSAGES = {
     # nets
     "netspec-m": (lambda: rn.NetSpec(2, 0, EYE), "m must be >= 1"),
-    "netspec-t": (lambda: rn.NetSpec(2, 2, EYE, declared_t=3), "declared_t outside [0, m]"),
     "schedule-empty": (lambda: rn.ReductionSchedule(()), "empty schedule"),
     "floor-log": (lambda: rn.ReductionSchedule.floor_log(3, 2, 4, num=-1),
                   "exponent must be a nonnegative rational"),

@@ -85,13 +85,20 @@ def test_netspec_value_semantics_and_read_only_digits():
     assert hash(net) == hash(rn.NetSpec(2, 3, eye.copy()))
     assert net != rn.NetSpec(3, 3, eye)
     assert net != rn.NetSpec(2, 3, 1 - eye)
-    assert net != rn.NetSpec(2, 3, eye, provenance="file")
     with pytest.raises(ValueError):
         net.digits[0, 0, 0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         net.digits = 1 - eye
     eye[0, 0, 0] = 0  # the net holds its own copy
     assert net.digits[0, 0, 0] == 1
+
+
+def test_netspec_is_its_base_m_and_digits():
+    assert [f.name for f in dataclasses.fields(rn.NetSpec)] == ["base", "m", "digits"]
+    eye = np.eye(2, dtype=np.int64)[None]
+    for claim in ({"declared_t": 0}, {"provenance": "file"}):
+        with pytest.raises(TypeError):
+            rn.NetSpec(2, 2, eye, **claim)
 
 
 def test_netspec_base_is_a_prime_below_2_pow_63():
@@ -121,7 +128,7 @@ def test_netspec_rejects_malformed_digits():
 def test_netspec_matrices_round_trip_through_from_matrices(base):
     net = rn.random_net(base, 3, 4, seed=base)
     assert net.digits.dtype == (np.uint8 if base < 128 else np.uint64)
-    again = net_from_matrices(base, 3, matrices(net), provenance=net.provenance)
+    again = net_from_matrices(base, 3, matrices(net))
     assert again == net
     assert matrices(again) == matrices(net)
 
@@ -138,8 +145,6 @@ def test_pascal_net_matches_paper_example():
         (0, 0, 1, 1),
         (0, 0, 0, 1),
     ]
-    assert net.declared_t == 0
-    assert net.provenance == "pascal"
 
 
 def test_pascal_net_1x1():
@@ -169,7 +174,6 @@ def test_pascal_net_higher_s_uses_matrix_powers():
     assert matrices(net)[0] == identity(3, 4)
     assert matrices(net)[2] == matmul(c2, c2)
     assert matrices(net)[3] == matmul(matmul(c2, c2), c2)
-    assert net.declared_t is None
 
 
 def pascal_oracle(base, m, s):
@@ -187,8 +191,6 @@ def test_pascal_net_matches_matrix_power_oracle(base, m, s):
     oracle = pascal_oracle(base, m, s)
     assert net.digits.dtype == oracle.digits.dtype
     assert np.array_equal(net.digits, oracle.digits)
-    assert net.declared_t == (0 if base == 2 and s <= 2 else None)
-    assert net.provenance == "pascal"
 
 
 @pytest.mark.parametrize("args,digest", [
@@ -291,7 +293,6 @@ def test_column_reduce_paper_example():
         (0, 0, 1, 0),
         (0, 0, 0, 0),
     ]
-    assert red.declared_t is None
 
 
 def test_column_reduce_zero_w_is_identity_map():
@@ -394,7 +395,6 @@ def test_prepend_zero_columns_t0_is_noop():
     pascal = rn.pascal_net(2, 4, 2)
     net = rn.prepend_zero_columns_seq(pascal.digits, 2, 0, 4)
     assert matrices(net) == matrices(pascal)
-    assert net.declared_t == 0
 
 
 def test_prepend_zero_columns_shifts_right():
@@ -405,7 +405,6 @@ def test_prepend_zero_columns_shifts_right():
         (0, 0, 0, 1),
         (0, 0, 0, 0),
     ]
-    assert net.declared_t == 1
 
 
 def test_prepend_zero_columns_net_passes_brute_force_check():
@@ -462,14 +461,14 @@ def test_block_diag_t2_m5():
 
 
 @pytest.mark.parametrize("construct", [rn.prepend_zero_columns_seq, rn.block_diag_seq])
-def test_sharpness_declared_t_is_the_strict_t_value(construct):
+def test_sharpness_t_is_the_strict_t_value(construct):
     # Pascal's first two matrices generate a (0,2)-sequence in every base
     for base, m_max in ((2, 6), (3, 4), (5, 3), (7, 3)):
         for m in range(1, m_max + 1):
             digits = rn.pascal_net(base, m, 2).digits
             for t in range(m + 1):
                 net = construct(digits, base, t, m)
-                assert rn.strict_t(rn.generate_points(net)) == net.declared_t == t
+                assert rn.strict_t(rn.generate_points(net)) == t
 
 
 def prepend_oracle(d1, d2, t, m):
@@ -480,7 +479,7 @@ def prepend_oracle(d1, d2, t, m):
         ))
         for d in (d1, d2)
     ]
-    return net_from_matrices(d1.base, m, mats, declared_t=t)
+    return net_from_matrices(d1.base, m, mats)
 
 
 def block_diag_oracle(d1, d2, t, m):
@@ -492,7 +491,7 @@ def block_diag_oracle(d1, d2, t, m):
         for i in range(m) for j in range(m)
     )
     mats = (matrices(prepend_oracle(d1, d2, t, m))[0], Matrix(d2.base, m, m, tuple(ent)))
-    return net_from_matrices(d2.base, m, mats, declared_t=t)
+    return net_from_matrices(d2.base, m, mats)
 
 
 @pytest.mark.parametrize("base", [2, 3, 5, 7])
@@ -741,6 +740,22 @@ def test_net_file_round_trip(base, m, s, seed):
     assert buf2.getvalue() == buf.getvalue()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: rn.pascal_net(2, 4, 2),
+    lambda: rn.pascal_net(5, 3, 4),
+    lambda: rn.random_net(2, 3, 2, seed=1),
+    lambda: rn.random_net(131, 3, 2, seed=1),
+    lambda: rn.prepend_zero_columns_seq(rn.pascal_net(3, 5, 2).digits, 3, 2, 4),
+    lambda: rn.block_diag_seq(rn.pascal_net(2, 6, 2).digits, 2, 2, 5),
+], ids=["pascal", "pascal-b5", "random", "random-b131", "prepend", "block-diag"])
+def test_read_net_of_write_net_equals_the_net(make):
+    # a net is its digits: the file holds all of it, so the read net is equal
+    net = make()
+    buf = io.StringIO()
+    rn.write_net(net, buf)
+    assert rn.read_net(io.StringIO(buf.getvalue())) == net
+
+
 def test_read_net_rejects_malformed():
     for text, message in [
         ("", "empty net file"),
@@ -776,16 +791,15 @@ def test_read_net_byte_path_and_line_parser_agree(base, m, source, monkeypatch):
     rn.write_net(net, buf)
     if base > 10 and m == 12:
         assert " 10 " in buf.getvalue()  # an entry of two characters
-    expected = rn.NetSpec(base, m, net.digits, provenance="file")
     parsed = []
     loadtxt = rn.nets._loadtxt
     monkeypatch.setattr(rn.nets, "_loadtxt", lambda *a, **kw: parsed.append(1) or loadtxt(*a, **kw))
-    assert rn.read_net(io.StringIO(buf.getvalue())) == expected
+    assert rn.read_net(io.StringIO(buf.getvalue())) == net
     # write_net's layout is read as one byte block while every digit is one character
     assert parsed == ([1] if base > 10 else [])
     for text in _layouts(buf.getvalue()):
         parsed.clear()
-        assert rn.read_net(io.StringIO(text)) == expected, repr(text[:40])
+        assert rn.read_net(io.StringIO(text)) == net, repr(text[:40])
         assert parsed == [1], repr(text[:40])
 
 

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from functools import partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +423,36 @@ def test_analyze_reduced_pascal_report():
     assert report.rho >= report.m - report.t_exact
 
 
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_t_upper_bounds_t_exact_on_pascal_nets(base):
+    # Pascal matrices are sections of a digital sequence's, the bound's hypothesis
+    for m in range(1, 6):
+        for s in range(1, 5):
+            net = rn.pascal_net(base, m, s)
+            for w in combinations_with_replacement(range(m + 2), s - 1):
+                report = rn.analyze(net, rn.ReductionSchedule((0, *w)), proj_cap=s)
+                for entry in (report, *report.projections.values()):
+                    assert entry.t_upper >= entry.t_exact, (m, s, w)
+
+
+def test_t_upper_is_no_bound_for_iid_random_matrices():
+    # projection 2 has t = 0 unreduced, so t_upper = min(3, 2 + 0), but
+    # dropping its last two columns leaves t = 3
+    report = rn.analyze(rn.random_net(2, 3, 2, seed=0), rn.ReductionSchedule((0, 2)))
+    q = report.projections[(2,)]
+    assert (q.t_upper, q.t_exact) == (2, 3)
+
+
+def test_analyze_derives_t_upper_from_the_nets_own_t():
+    # the construction's t = 1 holds only over a (0,2)-sequence, which random
+    # digits are not: the net's own t is 5, so t_upper = min(6, 2 + 5)
+    net = rn.prepend_zero_columns_seq(rn.random_net(2, 6, 2, seed=3).digits, 2, 1, 6)
+    assert rn.strict_t(rn.generate_points(net)) == 5
+    for cap in range(3):  # the full set from the projection scan or its own
+        report = rn.analyze(net, rn.ReductionSchedule((0, 2)), proj_cap=cap)
+        assert (report.t_upper, report.t_exact) == (6, 5), cap
+
+
 def test_report_json_schema_and_determinism():
     net = rn.pascal_net(2, 3, 2)
     sched = rn.ReductionSchedule.explicit([0, 1])
@@ -451,7 +481,6 @@ def report_from_full_scans(net, sched, cap):
     """Oracle: the report JSON from full 0..m strict_t scans and rho."""
     red = rn.column_reduce(net, sched)
     base, reduced = rn.generate_points(net), rn.generate_points(red)
-    t_full = rn.strict_t(base) if net.declared_t is None else net.declared_t
     projections = {
         ",".join(map(str, u)): {
             "rho": rn.rho(red, u),
@@ -463,7 +492,7 @@ def report_from_full_scans(net, sched, cap):
     }
     payload = {
         "base": net.base, "m": net.m, "s": net.s, "rho": rn.rho(red),
-        "t_exact": rn.strict_t(reduced), "t_upper": min(net.m, sched.w[-1] + t_full),
+        "t_exact": rn.strict_t(reduced), "t_upper": min(net.m, sched.w[-1] + rn.strict_t(base)),
         "projections": projections,
     }
     return json.dumps(payload, sort_keys=True, indent=2)
@@ -475,9 +504,6 @@ def test_analyze_matches_a_report_from_full_scans(net, data):
     w = sorted(data.draw(st.lists(st.integers(0, net.m), min_size=net.s - 1,
                                   max_size=net.s - 1)))
     sched = rn.ReductionSchedule.explicit([0, *w])
-    if data.draw(st.booleans()):
-        net = rn.NetSpec(net.base, net.m, net.digits,
-                         declared_t=data.draw(st.integers(0, net.m)))
     cap = data.draw(st.sampled_from(sorted({0, 1, 2, net.s - 1, net.s})))
     got = rn.analyze(net, sched, proj_cap=cap).to_json()
     assert got == report_from_full_scans(net, sched, cap)
@@ -573,18 +599,19 @@ def test_analyze_scans_rho_once_and_never_counts_the_reduced_full_set(monkeypatc
         return real_rho(net, u, **kw)
 
     def counting_scan(block, cols, *args):
-        scanned.append(len(cols))
+        scanned.append((block, len(cols)))
         return real_scan(block, cols, *args)
 
     monkeypatch.setattr(quality, "rho", counting_rho)
     monkeypatch.setattr(quality, "_scan_t", counting_scan)
-    # a declared t skips the unreduced full set, so with cap 2 < s = 4 no
-    # scan may count all four coordinates
-    net = rn.NetSpec(2, 6, rn.random_net(2, 6, 4, seed=5).digits, declared_t=2)
+    # with cap 2 < s = 4, all four coordinates are scanned once, on the
+    # unreduced net for its t; the reduced net's t comes from rho
+    net = rn.random_net(2, 6, 4, seed=5)
     sched = rn.ReductionSchedule.explicit([0, 1, 2, 3])
     report = rn.analyze(net, sched, proj_cap=2)
     assert rho_calls == [None]
-    assert len(report.projections) == 10 and max(scanned) == 2
+    assert len(report.projections) == 10
+    assert [(block is net, k) for block, k in scanned if k > 2] == [(True, 4)]
     rho_calls.clear()
     assert len(rn.analyze(net, sched, proj_cap=4).projections) == 15
     assert rho_calls == [None]
@@ -603,23 +630,15 @@ def test_analyze_matches_the_recorded_benchmark_reports():
 
 
 def test_analyze_raises_the_budget_error_of_a_plain_scan_first():
-    # b=2 m=3 s=5: 35 shapes x 8 points = 280 < 420 rho work units; with a
-    # declared t the full unreduced set is not scanned, so rho fails first
+    # b=2 m=3 s=5: 35 shapes x 8 points = 280 < 420 rho work units
     net = rn.random_net(2, 3, 5, seed=3)
     sched = rn.ReductionSchedule.explicit([0, 0, 1, 1, 1])
-    declared = rn.NetSpec(2, 3, net.digits, declared_t=1)
     shapes = "35 interval shapes x 8 points exceeds budget {}"
     rho_work = "rho enumeration needs ~420 work units, budget is {}"
-    for budget, plain, with_t in [
-        (1, shapes, rho_work),
-        (279, shapes, rho_work),
-        (280, rho_work, rho_work),
-        (419, rho_work, rho_work),
-    ]:
-        for n, message in ((net, plain), (declared, with_t)):
-            with pytest.raises(EnumerationBudgetError) as err:
-                rn.analyze(n, sched, proj_cap=5, budget=budget)
-            assert str(err.value) == message.format(budget)
+    for budget, message in [(1, shapes), (279, shapes), (280, rho_work), (419, rho_work)]:
+        with pytest.raises(EnumerationBudgetError) as err:
+            rn.analyze(net, sched, proj_cap=5, budget=budget)
+        assert str(err.value) == message.format(budget)
     # b=2 m=2 s=8: 36 x 4 = 144 shapes, 160 rho units, 255 projections
     net = rn.random_net(2, 2, 8, seed=1)
     sched = rn.ReductionSchedule.explicit([0] * 8)

@@ -1,5 +1,6 @@
 """The README's examples run and give the values the README states."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -43,3 +44,13 @@ def test_readme_cli_example_prints_the_stated_values(tmp_path, monkeypatch, caps
             assert out.strip() == stated.group(1)
             printed.append(out.strip())
     assert printed == ["rho = 3", "t = 1"]
+
+
+def test_readme_report_json_is_the_report_of_its_pascal_net(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = [ln.partition("#")[0] for ln in code_block("sh", "## CLI").splitlines()]
+    for start in ("gen --b 2 --m 4 --s 2 ", "report --net net.txt --w explicit:0,1 "):
+        cmd = next(ln for ln in lines if ln.startswith("rednets " + start))
+        assert main(shlex.split(cmd)[1:]) == 0
+    stated = re.sub(r"//.*", "", code_block("json", "**Quality report JSON**"))
+    assert json.loads(capsys.readouterr().out) == json.loads(stated)
