@@ -202,21 +202,26 @@ def _uniform_digits(seed: int, count: int, base: int, limit: int) -> np.ndarray:
     """The first ``count`` SplitMix64 draws of ``seed`` below ``limit``, mod base.
 
     A fixed algorithm, so seeds reproduce across platforms; the uint64
-    arithmetic wraps mod 2^64 as it requires.  With limit = 2^64 - (2^64
-    mod base) the rejection keeps the digits exactly uniform.
+    arithmetic wraps mod 2^64 as it requires, in place on each block of
+    counters.  With limit = 2^64 - (2^64 mod base) the rejection keeps the
+    digits exactly uniform; limit = 2^64 (b = 2) keeps every draw.
     """
     parts, have, start = [], 0, 0
     with np.errstate(over="ignore"):
         while have < count:
             z = np.arange(start + 1, start + 1 + count - have, dtype=np.uint64)
             start += count - have
-            z = z * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed % (1 << 64))
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            z *= np.uint64(0x9E3779B97F4A7C15)
+            z += np.uint64(seed % (1 << 64))
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(0xBF58476D1CE4E5B9)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(0x94D049BB133111EB)
             z ^= z >> np.uint64(31)
-            parts.append(z[z <= np.uint64(limit - 1)])
+            parts.append(z[z < np.uint64(limit)] if limit < 1 << 64 else z)
             have += parts[-1].size
-    return np.concatenate(parts) % np.uint64(base)
+    z = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return np.remainder(z, np.uint64(base), out=z)
 
 
 def _check_net_args(base: int, m: int, s: int) -> None:
@@ -448,14 +453,26 @@ def generate_points(net: NetSpec, first_digits: int | None = None) -> PointBlock
     )
 
 
+def _row_pattern(m: int) -> np.ndarray:
+    """The line "0 0 ... 0\\n" of m zeros as <u2 (digit, separator) pairs."""
+    return np.frombuffer(("0 " * m)[:-1].encode("ascii") + b"\n", "<u2")
+
+
 def write_net(net: NetSpec, fh: IO[str]) -> None:
-    """Text format: line ``b m s``; then for each j, m lines of m digits."""
+    """Text format: line ``b m s``; then for each j, m lines of m digits.
+
+    With b <= 10 a block of rows plus :func:`_row_pattern` is its lines as
+    bytes, the inverse of read_net's byte path; larger bases fill a template.
+    """
     fh.write(f"{net.base} {net.m} {net.s}\n")
     line = " ".join(["%d"] * net.m) + "\n"
     rows = net.digits.reshape(-1, net.m)
     for start in range(0, rows.shape[0], 4096):
         block = rows[start : start + 4096]
-        fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+        if net.base <= 10:
+            fh.write((block + _row_pattern(net.m)).astype("<u2").tobytes().decode("ascii"))
+        else:
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def _loadtxt(lines: list[str], what: str, **kw) -> np.ndarray:
@@ -488,13 +505,13 @@ def read_net(fh: IO[str]) -> NetSpec:
         raise ValueError("header needs m >= 1 and s >= 1")
     # write_net's layout: the header, then s*m lines "d d ... d\n" (lengths
     # compared as ints, so a huge header allocates nothing).  Read as uint16
-    # (digit, separator) pairs, a line minus "0 0 ... 0\n" is its digits if
+    # (digit, separator) pairs, a line minus _row_pattern is its digits if
     # each separator matches and each digit is "0".."9", else 10 or more.
     if 2 <= base <= 10 and text.startswith(f"{base} {m} {s}\n") and text.isascii() and (
         len(text) == end + s * m * 2 * m
     ):
         pairs = np.frombuffer(text[end:].encode("ascii"), "<u2").reshape(-1, m)
-        digits = pairs - np.frombuffer(("0 " * m)[:-1].encode("ascii") + b"\n", "<u2")
+        digits = pairs - _row_pattern(m)
         if (digits < base).all():
             return NetSpec(base, m, digits.reshape(s, m, m))
     lines = [ln for ln in io.StringIO(text[end:]) if ln.strip()]

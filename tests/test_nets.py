@@ -238,9 +238,11 @@ def test_random_net_deterministic():
 @pytest.mark.parametrize("base", [2, 3, 5, 7, 131])
 @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
 def test_random_net_digits_match_scalar_splitmix64(base, seed):
-    net = rn.random_net(base, 3, 5, seed)
+    # 4,320 draws in bases 2 (limit 2^64: no rejection mask) and 3
+    m, s = (12, 30) if base <= 3 else (3, 5)
+    net = rn.random_net(base, m, s, seed)
     limit = (1 << 64) - (1 << 64) % base
-    assert net.digits.ravel().tolist() == uniform_digits_scalar(seed, 45, base, limit)
+    assert net.digits.ravel().tolist() == uniform_digits_scalar(seed, s * m * m, base, limit)
 
 
 @pytest.mark.parametrize("base,limit", [(2, 5 << 60), (3, 3 << 62), (5, 1 << 63)])
@@ -258,6 +260,21 @@ def test_random_net_paper_scale_file_is_pinned():
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
         "150c89a167738622b5310c68ea0abd747e2bbbb5469fd6e3b9ebe69f969d3187"
     )
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: rn.random_net(3, 8, 400, seed=0),
+     "2a30a23fc81ecf89382d6c8b839f80a3a6dccbd5194122ab2dcf73083b857c14"),
+    (lambda: rn.column_reduce(
+        rn.random_net(2, 12, 800, seed=0), rn.ReductionSchedule.floor_log(800, 2, 12)),
+     "a69f365714fb4d07b54d02d9e3f44441bd2bbb6bf4ccfc4b429cc0d1a64532f8"),
+], ids=["b3-m8-s400", "paper-log-reduced"])
+def test_random_net_files_are_pinned(make, digest):
+    # sha256 of the files as the %d template writes them; the byte blocks of
+    # b <= 10 must give the same bytes
+    buf = io.StringIO()
+    rn.write_net(make(), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 def test_random_net_paper_scale_shapes():
@@ -754,6 +771,35 @@ def test_read_net_of_write_net_equals_the_net(make):
     buf = io.StringIO()
     rn.write_net(net, buf)
     assert rn.read_net(io.StringIO(buf.getvalue())) == net
+
+
+def write_net_per_line(net):
+    """Per-line formatting oracle for ``write_net``."""
+    lines = (" ".join(map(str, row)) + "\n" for row in net.digits.reshape(-1, net.m).tolist())
+    return f"{net.base} {net.m} {net.s}\n" + "".join(lines)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda b=b: rn.random_net(b, 5, 3, seed=b) for b in (2, 3, 5, 7)],
+    lambda: rn.random_net(11, 12, 3, seed=2),
+    lambda: rn.random_net(131, 3, 2, seed=1),
+    lambda: rn.column_reduce(rn.random_net(2, 6, 8, seed=2), rn.ReductionSchedule(tuple(range(8)))),
+    lambda: rn.column_reduce(rn.random_net(11, 4, 5, seed=3), rn.ReductionSchedule((0, 1, 2, 4, 9))),
+    lambda: rn.random_net(2, 1, 6, seed=4),
+    lambda: rn.random_net(11, 1, 6, seed=4),
+    lambda: rn.random_net(2, 12, 400, seed=5),
+    lambda: rn.random_net(3, 1, 8193, seed=5),
+    lambda: rn.random_net(11, 5, 1000, seed=5),
+], ids=["b2", "b3", "b5", "b7", "b11", "b131", "reduced-b2", "reduced-b11", "m1-b2", "m1-b11",
+        "rows-4800-b2", "rows-8193-b3", "rows-5000-b11"])
+def test_write_net_matches_per_line_oracle(make):
+    # b <= 10 is written as byte blocks, b > 10 through the %d template; the
+    # reduced nets hold zero columns and whole zero matrices, and the last
+    # three write several blocks of 4096 rows (the 8193rd row alone)
+    net = make()
+    buf = io.StringIO()
+    rn.write_net(net, buf)
+    assert buf.getvalue() == write_net_per_line(net)
 
 
 def test_read_net_rejects_malformed():
